@@ -6,7 +6,7 @@
 //!   (`ModelParams::instantiate`) scalar prediction for all three model
 //!   families at 3 and 30 features, the widths bracketing the paper's
 //!   deployable (Class C, ≤ 4 PMCs) and exhaustive (Class A) settings;
-//! - `fixed` — the integer fixed-point tier ([`FixedModel`]) against the
+//! - `fixed` — the integer fixed-point lowering ([`FixedModel`]) against the
 //!   compiled f64 path: scalar prediction, and SoA batch evaluation
 //!   (quantise + evaluate) at depth 64 for linear and forest models;
 //! - `run_cache` — all-hit lookups against a single-shard cache
@@ -94,7 +94,7 @@ fn bench_predict(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fixed-point tier against the compiled f64 path: scalar predictions,
+/// Fixed-point lowering against the compiled f64 path: scalar predictions,
 /// then a full SoA batch (quantise every row + evaluate) against the
 /// same rows through the compiled scalar loop.
 fn bench_fixed(c: &mut Criterion) {

@@ -10,9 +10,8 @@
 //!
 //! ```text
 //! cargo run --release -p pmca-bench --bin loadgen -- \
-//!     [--addr HOST:PORT] [--clients N] [--requests M] [--workers W]
+//!     [--addr HOST:PORT] [--clients N] [--requests M]
 //!     [--duration-secs S] [--pipeline D] [--app-share PCT]
-//!     [--tier f64|fixed|both]
 //!     [--connections N] [--idle-fraction F]
 //!     [--shards N] [--transport threaded|evented] [--event-loops N]
 //!     [--no-metrics] [--no-trace] [--no-health] [--trace-sample N]
@@ -41,12 +40,6 @@
 //! proof the background forest/neural refits ran without stalling the
 //! hot path.
 //!
-//! `--tier f64|fixed|both` picks the inference tier the estimate
-//! requests ask for (`tier=fixed` runs the integer fixed-point fast
-//! tier). `both` runs two timed passes over the same warmed server —
-//! f64 first, then fixed — and reports each tier's percentiles side by
-//! side, so one `--json` file captures the tier comparison.
-//!
 //! `--duration-secs S` replaces the fixed request count with a wall-clock
 //! budget: every client fires pipelined batches until the deadline.
 //! `--json PATH` writes the run summary (throughput, latency quantiles,
@@ -57,8 +50,8 @@
 //! After the run it fetches the server-side view via the `METRICS`
 //! command — per-command latency percentiles measured inside the server,
 //! next to the client-side numbers — and the full span breakdown of the
-//! slowest request via `TRACE SLOWEST` (queue wait, cache lookup,
-//! compute, substrate). `--trace-sample N` additionally prints one full
+//! slowest request via `TRACE SLOWEST` (cache lookup, compute,
+//! substrate). `--trace-sample N` additionally prints one full
 //! server-side trace every N requests while the run is in flight.
 //! `--no-metrics` / `--no-trace` / `--no-health` build the in-process
 //! server with inert instruments — run both ways to measure the
@@ -95,44 +88,14 @@ const APP_SPECS: [&str; 4] = [
     "dgemm:9000;fft:24000",
 ];
 
-/// Which inference tier(s) the estimate requests ask for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TierMode {
-    F64,
-    Fixed,
-    /// Two passes over the same warmed server: f64 first, then fixed.
-    Both,
-}
-
-impl TierMode {
-    fn as_str(self) -> &'static str {
-        match self {
-            TierMode::F64 => "f64",
-            TierMode::Fixed => "fixed",
-            TierMode::Both => "both",
-        }
-    }
-
-    fn passes(self) -> &'static [Tier] {
-        match self {
-            TierMode::F64 => &[Tier::F64],
-            TierMode::Fixed => &[Tier::Fixed],
-            TierMode::Both => &[Tier::F64, Tier::Fixed],
-        }
-    }
-}
-
 struct Options {
     addr: Option<String>,
     clients: usize,
     requests: usize,
-    workers: usize,
     pipeline: usize,
     /// Out of 100: how many requests are app-level (cache-backed) rather
     /// than raw counter-level estimates.
     app_share: u32,
-    /// Inference tier(s) the estimate requests ask for.
-    tier: TierMode,
     /// Build the in-process server with inert metrics (overhead A/B).
     no_metrics: bool,
     /// Build the in-process server with tracing disabled (overhead A/B).
@@ -173,10 +136,8 @@ fn parse_options() -> Result<Options, String> {
         addr: None,
         clients: 4,
         requests: 20_000,
-        workers: 4,
         pipeline: 64,
         app_share: 50,
-        tier: TierMode::F64,
         no_metrics: false,
         no_trace: false,
         no_health: false,
@@ -200,7 +161,6 @@ fn parse_options() -> Result<Options, String> {
             "--addr" => options.addr = Some(value("--addr")?),
             "--clients" => options.clients = parse_count(&value("--clients")?, "--clients")?,
             "--requests" => options.requests = parse_count(&value("--requests")?, "--requests")?,
-            "--workers" => options.workers = parse_count(&value("--workers")?, "--workers")?,
             "--pipeline" => options.pipeline = parse_count(&value("--pipeline")?, "--pipeline")?,
             "--app-share" => {
                 let raw = value("--app-share")?;
@@ -209,15 +169,6 @@ fn parse_options() -> Result<Options, String> {
                     .ok()
                     .filter(|&p| p <= 100)
                     .ok_or(format!("--app-share: {raw:?} is not a percentage"))?;
-            }
-            "--tier" => {
-                let raw = value("--tier")?;
-                options.tier = match raw.to_ascii_lowercase().as_str() {
-                    "f64" => TierMode::F64,
-                    "fixed" => TierMode::Fixed,
-                    "both" => TierMode::Both,
-                    _ => return Err(format!("--tier: {raw:?} is not f64, fixed, or both")),
-                };
             }
             "--no-metrics" => options.no_metrics = true,
             "--no-trace" => options.no_trace = true,
@@ -269,16 +220,15 @@ fn parse_count(raw: &str, name: &str) -> Result<usize, String> {
 }
 
 /// One request line for slot `i` of a client: app-level or counter-level
-/// according to `app_share`, deterministic per (client, slot). `tier`
-/// rides along on every request (a no-op on the wire for `Tier::F64`).
-fn request_line(client_index: usize, i: usize, app_share: u32, tier: Tier) -> String {
+/// according to `app_share`, deterministic per (client, slot).
+fn request_line(client_index: usize, i: usize, app_share: u32) -> String {
     let pick = ((i * 97 + client_index * 31) % 100) as u32;
     if pick < app_share {
         let spec = APP_SPECS[(i + client_index) % APP_SPECS.len()];
         Request::EstimateApp {
             platform: "skylake".to_string(),
             app: spec.to_string(),
-            tier,
+            tier: Tier::F64,
         }
         .to_line()
     } else {
@@ -289,7 +239,7 @@ fn request_line(client_index: usize, i: usize, app_share: u32, tier: Tier) -> St
         Request::Estimate {
             platform: "skylake".to_string(),
             counts,
-            tier,
+            tier: Tier::F64,
         }
         .to_line()
     }
@@ -314,9 +264,8 @@ fn main() {
         Some(addr) => addr.clone(),
         None => {
             println!(
-                "starting in-process server ({} inference workers, {} transport, {} shard(s), \
+                "starting in-process server ({} transport, {} shard(s), \
                  metrics {}, tracing {}, health {})...",
-                options.workers,
                 options.transport,
                 options.shards,
                 if options.no_metrics { "off" } else { "on" },
@@ -325,7 +274,6 @@ fn main() {
             );
             let router = Arc::new(
                 ServiceConfig::default()
-                    .workers(options.workers)
                     .cache_capacity(1024)
                     .seed(42)
                     .metrics(!options.no_metrics)
@@ -397,12 +345,11 @@ fn main() {
     };
     println!(
         "warmed {} app specs; {} clients x {load_spec}, pipeline depth {}, {}% app-level, \
-         tier {}, against {addr}",
+         against {addr}",
         APP_SPECS.len(),
         active_clients,
         options.pipeline,
         options.app_share,
-        options.tier.as_str()
     );
 
     // In-flight trace sampler: every N completed requests (across all
@@ -418,29 +365,22 @@ fn main() {
         })
     });
 
-    // One timed pass per requested tier over the same warmed server —
-    // `both` therefore compares the tiers with identical cache state.
-    let mut passes: Vec<(Tier, PassResult)> = Vec::new();
-    for &tier in options.tier.passes() {
-        let pass = run_pass(&addr, &options, tier, active_clients, sampler.clone());
-        let label = tier.as_str();
-        println!(
-            "[tier={label}] {} estimates in {:.2} s -> {:.0} estimates/sec",
-            pass.total,
-            pass.elapsed_secs,
-            pass.throughput_eps()
-        );
-        println!(
-            "[tier={label}] latency (per request, amortised over the pipeline): p50 {:?}  \
-             p90 {:?}  p99 {:?}  p99.9 {:?}  max {:?}",
-            pass.percentile(50.0),
-            pass.percentile(90.0),
-            pass.percentile(99.0),
-            pass.percentile(99.9),
-            pass.max()
-        );
-        passes.push((tier, pass));
-    }
+    let pass = run_pass(&addr, &options, active_clients, sampler);
+    println!(
+        "{} estimates in {:.2} s -> {:.0} estimates/sec",
+        pass.total,
+        pass.elapsed_secs,
+        pass.throughput_eps()
+    );
+    println!(
+        "latency (per request, amortised over the pipeline): p50 {:?}  \
+         p90 {:?}  p99 {:?}  p99.9 {:?}  max {:?}",
+        pass.percentile(50.0),
+        pass.percentile(90.0),
+        pass.percentile(99.0),
+        pass.percentile(99.9),
+        pass.max()
+    );
 
     // Every idle connection must still answer after the run: the front
     // end kept them alive while the active herd saturated it.
@@ -455,40 +395,24 @@ fn main() {
         );
     }
 
-    // Headline numbers come from the first pass (f64 when comparing both
-    // tiers), keeping them comparable with pre-tier baselines; the
-    // per-tier p50/p99 columns carry the comparison.
-    let headline = &passes[0].1;
     let summary = Summary {
         clients: active_clients,
-        workers: options.workers,
         pipeline: options.pipeline,
         app_share: options.app_share,
-        tier: options.tier.as_str(),
-        tier_latency: passes
-            .iter()
-            .map(|(tier, pass)| {
-                (
-                    tier.as_str(),
-                    as_micros(pass.percentile(50.0)),
-                    as_micros(pass.percentile(99.0)),
-                )
-            })
-            .collect(),
         connections: options.connections,
         idle_fraction: options.idle_fraction,
         idle_connections: idle_held,
         idle_probe_failures,
         transport: options.transport,
         shards: options.shards,
-        total: headline.total,
-        elapsed_secs: headline.elapsed_secs,
-        throughput_eps: headline.throughput_eps(),
-        p50_us: as_micros(headline.percentile(50.0)),
-        p90_us: as_micros(headline.percentile(90.0)),
-        p99_us: as_micros(headline.percentile(99.0)),
-        p999_us: as_micros(headline.percentile(99.9)),
-        max_us: as_micros(headline.max()),
+        total: pass.total,
+        elapsed_secs: pass.elapsed_secs,
+        throughput_eps: pass.throughput_eps(),
+        p50_us: as_micros(pass.percentile(50.0)),
+        p90_us: as_micros(pass.percentile(90.0)),
+        p99_us: as_micros(pass.percentile(99.0)),
+        p999_us: as_micros(pass.percentile(99.9)),
+        max_us: as_micros(pass.max()),
     };
     if let Some(path) = &options.json {
         match std::fs::write(path, summary.to_json()) {
@@ -555,12 +479,11 @@ impl PassResult {
     }
 }
 
-/// One timed load pass on `tier`: every active client fires its budget
-/// of pipelined batches and reports per-request latencies.
+/// One timed load pass: every active client fires its budget of
+/// pipelined batches and reports per-request latencies.
 fn run_pass(
     addr: &str,
     options: &Options,
-    tier: Tier,
     active_clients: usize,
     sampler: Option<Arc<TraceSampler>>,
 ) -> PassResult {
@@ -582,7 +505,7 @@ fn run_pass(
                 // timed loop measures serving, not request formatting.
                 let period = 700;
                 let pattern: Vec<String> = (0..period)
-                    .map(|i| request_line(client_index, i, app_share, tier))
+                    .map(|i| request_line(client_index, i, app_share))
                     .collect();
                 let mut latencies = Vec::with_capacity(requests);
                 let mut sent = 0;
@@ -648,9 +571,8 @@ fn run_streams(options: &Options) {
         Some(addr) => addr.clone(),
         None => {
             println!(
-                "starting in-process server ({} inference workers, {} transport, {} shard(s), \
+                "starting in-process server ({} transport, {} shard(s), \
                  metrics {}, tracing {}, health {})...",
-                options.workers,
                 options.transport,
                 options.shards,
                 if options.no_metrics { "off" } else { "on" },
@@ -659,7 +581,6 @@ fn run_streams(options: &Options) {
             );
             let router = Arc::new(
                 ServiceConfig::default()
-                    .workers(options.workers)
                     .cache_capacity(1024)
                     .seed(42)
                     .metrics(!options.no_metrics)
@@ -1094,13 +1015,8 @@ impl StreamSummary {
 /// `--compare`.
 struct Summary {
     clients: usize,
-    workers: usize,
     pipeline: usize,
     app_share: u32,
-    /// The `--tier` mode this run used.
-    tier: &'static str,
-    /// One `(tier, p50_us, p99_us)` row per timed pass.
-    tier_latency: Vec<(&'static str, f64, f64)>,
     connections: Option<usize>,
     idle_fraction: f64,
     idle_connections: usize,
@@ -1127,27 +1043,16 @@ impl Summary {
             ),
             None => String::new(),
         };
-        // One p50/p99 column pair per timed tier pass, e.g.
-        // "f64_p50_us" / "fixed_p50_us" side by side on a --tier both run.
-        let tiers: String = self
-            .tier_latency
-            .iter()
-            .map(|(name, p50, p99)| {
-                format!("  \"{name}_p50_us\": {p50:.1},\n  \"{name}_p99_us\": {p99:.1},\n")
-            })
-            .collect();
         format!(
-            "{{\n{simd}  \"clients\": {},\n  \"workers\": {},\n  \"pipeline\": {},\n  \
-             \"app_share\": {},\n  \"tier\": \"{}\",\n{tiers}{connections}  \
+            "{{\n{simd}  \"clients\": {},\n  \"pipeline\": {},\n  \
+             \"app_share\": {},\n{connections}  \
              \"transport\": \"{}\",\n  \
              \"shards\": {},\n  \"total\": {},\n  \"elapsed_secs\": {:.3},\n  \
              \"throughput_eps\": {:.1},\n  \"p50_us\": {:.1},\n  \"p90_us\": {:.1},\n  \
              \"p99_us\": {:.1},\n  \"p999_us\": {:.1},\n  \"max_us\": {:.1}\n}}\n",
             self.clients,
-            self.workers,
             self.pipeline,
             self.app_share,
-            self.tier,
             self.transport,
             self.shards,
             self.total,
@@ -1193,32 +1098,10 @@ impl Summary {
             };
             println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}  {delta:>+7.1}% ({verdict})");
         }
-        // Per-tier latency rows, when the baseline also recorded the tier
-        // (pre-tier baselines simply lack the key).
-        for (name, p50, p99) in &self.tier_latency {
-            for (suffix, current) in [("p50_us", *p50), ("p99_us", *p99)] {
-                let key = format!("{name}_{suffix}");
-                let Some(base) = json_number(baseline, &key) else {
-                    println!("  {key:<15} baseline missing");
-                    continue;
-                };
-                if base == 0.0 {
-                    println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}");
-                    continue;
-                }
-                let delta = (current - base) / base * 100.0;
-                let verdict = if delta <= 0.0 { "better" } else { "worse" };
-                println!(
-                    "  {key:<15} baseline {base:>10.1}  now {current:>10.1}  \
-                     {delta:>+7.1}% ({verdict})"
-                );
-            }
-        }
-        for key in ["clients", "workers", "pipeline", "app_share"] {
+        for key in ["clients", "pipeline", "app_share"] {
             if let Some(base) = json_number(baseline, key) {
                 let current = match key {
                     "clients" => self.clients as f64,
-                    "workers" => self.workers as f64,
                     "pipeline" => self.pipeline as f64,
                     _ => f64::from(self.app_share),
                 };

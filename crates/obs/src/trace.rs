@@ -10,11 +10,9 @@
 //! zero-duration `instant` markers — each stamped with nanoseconds
 //! since the request started and optional `key=value` attributes.
 //!
-//! The handle is an `Arc` underneath, so it crosses thread boundaries:
-//! the serving engine clones it into the job it pushes down the worker
-//! mpsc channel, which is how queue wait gets attributed to the
-//! originating request rather than to whichever worker dequeued it.
-//! Within a thread, [`scope`] installs the trace as the *current* one
+//! The handle is an `Arc` underneath, cheap to clone and safe to share
+//! across threads; a pipelined batch carries one handle per row so each
+//! row's stages land in its own request's trace. Within a thread, [`scope`] installs the trace as the *current* one
 //! so deep substrate code ([`TraceSpan`], [`instant`]) can contribute
 //! events without any plumbing through intermediate signatures.
 //!
@@ -81,7 +79,7 @@ impl EventKind {
 /// One structured moment inside a request trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Stage or marker name, e.g. `engine.queue` or `cache.lookup`.
+    /// Stage or marker name, e.g. `engine.compute` or `cache.lookup`.
     pub name: String,
     /// Begin/end/instant.
     pub kind: EventKind,
@@ -475,8 +473,8 @@ fn head(rest: &str) -> &str {
 // ---------------------------------------------------------------------
 
 /// A live, shared handle to an in-flight request trace. Clone it freely
-/// — clones append to the same event buffer — and hand one across the
-/// worker channel so off-thread stages land in the right trace.
+/// — clones append to the same event buffer — and hand one to another
+/// thread so off-thread stages land in the right trace.
 #[derive(Debug, Clone)]
 pub struct ActiveTrace {
     inner: Arc<ActiveInner>,

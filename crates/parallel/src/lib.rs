@@ -233,7 +233,7 @@ impl<'env> State<'env> {
         }
     }
 
-    fn worker_loop(&self, own: usize) {
+    fn run_worker(&self, own: usize) {
         loop {
             if let Some(task) = self.find_task(own) {
                 self.run_task(task);
@@ -351,7 +351,7 @@ impl ThreadPool {
         let result = std::thread::scope(|s| {
             for w in 0..self.threads {
                 let state = &state;
-                s.spawn(move || state.worker_loop(w));
+                s.spawn(move || state.run_worker(w));
             }
             let result = catch_unwind(AssertUnwindSafe(|| f(&Scope { state: &state })));
             // Wait for the queues to drain, then release the workers.

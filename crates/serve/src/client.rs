@@ -398,28 +398,10 @@ impl Client {
         platform: &str,
         counts: &[(String, f64)],
     ) -> Result<Estimate, ClientError> {
-        self.estimate_tiered(platform, counts, Tier::F64)
-    }
-
-    /// [`estimate`](Client::estimate) on an explicit inference tier —
-    /// [`Tier::Fixed`] asks the server for the fixed-point fast tier
-    /// (`tier=fixed` on the wire); [`Tier::F64`] sends the exact bytes
-    /// `estimate` sends.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Protocol`] with the server's message on an
-    /// `ERR` reply.
-    pub fn estimate_tiered(
-        &mut self,
-        platform: &str,
-        counts: &[(String, f64)],
-        tier: Tier,
-    ) -> Result<Estimate, ClientError> {
         let request = Request::Estimate {
             platform: platform.to_string(),
             counts: counts.to_vec(),
-            tier,
+            tier: Tier::F64,
         };
         match self.request(&request)? {
             Response::Estimate(estimate) => Ok(estimate),
@@ -434,26 +416,10 @@ impl Client {
     /// Returns [`ClientError::Protocol`] with the server's message on an
     /// `ERR` reply.
     pub fn estimate_app(&mut self, platform: &str, app: &str) -> Result<Estimate, ClientError> {
-        self.estimate_app_tiered(platform, app, Tier::F64)
-    }
-
-    /// [`estimate_app`](Client::estimate_app) on an explicit inference
-    /// tier; [`Tier::F64`] sends the exact bytes `estimate_app` sends.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Protocol`] with the server's message on an
-    /// `ERR` reply.
-    pub fn estimate_app_tiered(
-        &mut self,
-        platform: &str,
-        app: &str,
-        tier: Tier,
-    ) -> Result<Estimate, ClientError> {
         let request = Request::EstimateApp {
             platform: platform.to_string(),
             app: app.to_string(),
-            tier,
+            tier: Tier::F64,
         };
         match self.request(&request)? {
             Response::Estimate(estimate) => Ok(estimate),
@@ -697,7 +663,6 @@ mod tests {
     fn running_server() -> Server {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(2)
                 .cache_capacity(16)
                 .seed(7)
                 .build()

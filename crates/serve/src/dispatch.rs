@@ -17,7 +17,7 @@ use crate::engine::Estimate;
 use crate::protocol::{
     err, health_row_fields, history_row_fields, ok_estimate, ok_estimate_into, ok_stats,
     ok_stream_push_into, ok_stream_status, stream_status_fields, Command, HealthRow, HistoryRow,
-    Request, RequestRef, Tier,
+    Request, RequestRef,
 };
 use crate::service::{BatchRequestRef, EnergyService, ServiceError, ServiceStats};
 use crate::shard::ShardRouter;
@@ -44,11 +44,6 @@ struct CommandMetrics {
     shards: Histogram,
     health: Histogram,
     history: Histogram,
-    /// Per-tier estimate latency (`pmca_serve_tier_seconds{tier=...}`),
-    /// recorded alongside the per-command histograms so the two tiers'
-    /// percentiles can be compared from one scrape.
-    tier_f64: Histogram,
-    tier_fixed: Histogram,
 }
 
 impl CommandMetrics {
@@ -73,16 +68,6 @@ impl CommandMetrics {
             shards: h("shards"),
             health: h("health"),
             history: h("history"),
-            tier_f64: registry.histogram("pmca_serve_tier_seconds", &[("tier", "f64")]),
-            tier_fixed: registry.histogram("pmca_serve_tier_seconds", &[("tier", "fixed")]),
-        }
-    }
-
-    /// Histogram for one inference tier.
-    fn of_tier(&self, tier: Tier) -> &Histogram {
-        match tier {
-            Tier::F64 => &self.tier_f64,
-            Tier::Fixed => &self.tier_fixed,
         }
     }
 
@@ -117,9 +102,6 @@ pub(crate) struct Dispatcher {
     metrics: CommandMetrics,
     /// `pmca_serve_shard_requests_total{shard=...}`, one per slot.
     shard_requests: Vec<Counter>,
-    /// Snapshot of the primary shard's fast-tier switch, used to label
-    /// the per-tier histograms with the tier a request actually ran on.
-    fast_tier: bool,
 }
 
 impl Dispatcher {
@@ -127,7 +109,6 @@ impl Dispatcher {
         let primary = router.primary();
         let metrics = CommandMetrics::for_service(&primary);
         let registry = primary.metrics_registry();
-        let fast_tier = primary.fast_tier_enabled();
         let shard_requests = (0..router.shard_count())
             .map(|index| {
                 registry.counter(
@@ -140,17 +121,6 @@ impl Dispatcher {
             router,
             metrics,
             shard_requests,
-            fast_tier,
-        }
-    }
-
-    /// The tier a request runs on: its own ask unless the fast tier is
-    /// off, which pins everything to f64 (mirrors the service's rule).
-    fn effective_tier(&self, requested: Tier) -> Tier {
-        if self.fast_tier {
-            requested
-        } else {
-            Tier::F64
         }
     }
 
@@ -308,9 +278,6 @@ impl Dispatcher {
                         BatchRequestRef::Counts { .. } => self.metrics.estimate.record(share),
                         BatchRequestRef::App { .. } => self.metrics.estimate_app.record(share),
                     }
-                    self.metrics
-                        .of_tier(self.effective_tier(request.tier()))
-                        .record(share);
                 }
             }
         }
@@ -323,25 +290,17 @@ impl Dispatcher {
         let _span = Span::enter(self.metrics.of(request.command()));
         let reply = match request {
             Request::Estimate {
-                platform,
-                counts,
-                tier,
+                platform, counts, ..
             } => {
-                let _tier_span = Span::enter(self.metrics.of_tier(self.effective_tier(tier)));
                 let (service, _scope) = self.routed(&platform);
-                match service.estimate_tiered(&platform, &counts, tier) {
+                match service.estimate(&platform, &counts) {
                     Ok(estimate) => ok_estimate(&estimate),
                     Err(e) => err(&e.to_string()),
                 }
             }
-            Request::EstimateApp {
-                platform,
-                app,
-                tier,
-            } => {
-                let _tier_span = Span::enter(self.metrics.of_tier(self.effective_tier(tier)));
+            Request::EstimateApp { platform, app, .. } => {
                 let (service, _scope) = self.routed(&platform);
-                match service.estimate_app_tiered(&platform, &app, tier) {
+                match service.estimate_app(&platform, &app) {
                     Ok(estimate) => ok_estimate(&estimate),
                     Err(e) => err(&e.to_string()),
                 }
@@ -385,7 +344,6 @@ impl Dispatcher {
                     total.cache_evictions += stats.cache_evictions;
                     total.cache_entries += stats.cache_entries;
                     total.models += stats.models;
-                    total.workers += stats.workers;
                     total.streams += stats.streams;
                     total.stream_refits += stats.stream_refits;
                 }

@@ -1,60 +1,40 @@
-//! Inference engine: a fixed pool of worker threads answering
-//! "PMC vector → dynamic energy" requests.
+//! Inference engine: answers "PMC vector → dynamic energy" rows on the
+//! thread that submits them.
 //!
-//! The dispatch layer is built for the serving hot path:
+//! A row is evaluated where it arrives — the connection thread for the
+//! threaded transport, the event loop for the evented one — so an
+//! estimate costs one compiled-model lookup per distinct model in its
+//! batch plus the kernel itself, with no thread handoff in between.
 //!
-//! * **Per-worker bounded queues.** Each worker owns a
-//!   `Mutex<VecDeque<Job>>` + condvar pair; submitters push round-robin,
-//!   so the pool never serializes on one shared channel lock. A worker
-//!   whose queue runs dry steals from its neighbours before sleeping, so
-//!   an uneven burst still saturates every thread.
-//! * **Reusable reply slots.** Replies land in a per-submitting-thread
-//!   slot (mutex + condvar + result vector) that is armed and
-//!   reused across requests — a warm `ESTIMATE` performs zero channel
-//!   or slot allocations.
-//! * **Compiled predictors.** Workers evaluate
-//!   [`pmca_mlkit::CompiledModel`] lowerings — flat
-//!   branch-free trees, fused linear dot products, transposed network
-//!   weights — cached per worker and shared engine-wide so the lowering
-//!   cost is paid once per model version, not once per worker.
+//! * **Compiled predictors.** Rows are evaluated by
+//!   [`pmca_mlkit::CompiledModel`] lowerings — flat branch-free trees,
+//!   fused linear dot products, transposed network weights — cached
+//!   engine-wide so the lowering cost is paid once per model version.
+//! * **Grouped batches.** A pipelined batch may mix models; the engine
+//!   evaluates it one model group at a time (groups in order of first
+//!   appearance, rows in input order within a group) and returns the
+//!   answers in input order.
 //!
 //! Every estimate carries a 95 % prediction half-width derived from the
 //! model's training residuals via the Student-t critical value — the same
 //! machinery the measurement methodology uses for energy CIs.
 
 use crate::registry::StoredModel;
-use pmca_mlkit::{CompiledModel, FixedBatch, FixedModel};
-use pmca_obs::trace::{self, ActiveTrace, TraceSpan};
-use pmca_obs::{Histogram, MetricsRegistry, Span};
+use pmca_mlkit::CompiledModel;
+use pmca_obs::trace::{self, ActiveTrace};
+use pmca_obs::{Histogram, MetricsRegistry};
 use pmca_simd::Isa;
 use pmca_stats::confidence::t_critical;
 use std::borrow::Cow;
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 /// Confidence level of served prediction intervals.
 const CONFIDENCE: f64 = 0.95;
-
-/// Per-feature input domain the fixed-point tier is lowered for: PMC
-/// counts up to ten trillion, comfortably above anything a one-second
-/// telemetry window produces. A batch carrying a larger (but otherwise
-/// valid) count is served by the f64 path instead — correctness never
-/// depends on the domain, only tier selection does.
-const FIXED_FEATURE_MAX: f64 = 1.0e13;
-
-/// Per-worker queue depth bound. Submitters overflowing every queue spin
-/// (with a short sleep) until a worker drains — backpressure, not OOM.
-const QUEUE_CAP: usize = 1024;
-
-/// How long an idle worker sleeps before re-polling (bounds the window of
-/// a lost wakeup race and paces the steal sweep).
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// One answered estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +78,6 @@ pub enum EngineError {
     BadCount,
     /// The stored parameters failed to instantiate.
     Model(String),
-    /// The engine is shutting down.
-    Stopped,
 }
 
 impl fmt::Display for EngineError {
@@ -110,260 +88,68 @@ impl fmt::Display for EngineError {
             }
             EngineError::BadCount => write!(f, "counts must be finite and non-negative"),
             EngineError::Model(detail) => write!(f, "model error: {detail}"),
-            EngineError::Stopped => write!(f, "inference engine stopped"),
         }
     }
 }
 
 impl Error for EngineError {}
 
-/// Where replies land. One slot lives per *submitting* thread and is
-/// re-armed for every request or batch, so the warm path allocates no
-/// channels: workers deliver into the slot's preallocated result vector
-/// and the submitter parks on the condvar until every index is filled.
-struct ReplySlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct SlotState {
-    remaining: usize,
-    results: Vec<Option<Result<Estimate, EngineError>>>,
-}
-
-impl ReplySlot {
-    fn new() -> ReplySlot {
-        ReplySlot {
-            state: Mutex::new(SlotState::default()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Prepare the slot for `n` outstanding replies. Reuses the result
-    /// vector's capacity — no allocation once the high-water mark is hit.
-    fn arm(&self, n: usize) {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        state.remaining = n;
-        state.results.clear();
-        state.results.resize_with(n, || None);
-    }
-
-    /// Deliver one result. Double deliveries and out-of-range indices are
-    /// ignored, so `remaining` counts distinct filled slots and the
-    /// waiter can never be released early or hang on a duplicate.
-    fn deliver(&self, index: usize, result: Result<Estimate, EngineError>) {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        let newly_filled = match state.results.get_mut(index) {
-            Some(slot @ None) => {
-                *slot = Some(result);
-                true
-            }
-            _ => false,
-        };
-        if newly_filled {
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                self.ready.notify_all();
-            }
-        }
-    }
-
-    /// Block until every armed reply has been delivered.
-    fn wait(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        while state.remaining > 0 {
-            state = self.ready.wait(state).expect("reply slot poisoned");
-        }
-        state
-    }
-
-    /// Wait for a single-reply arm and take the result, keeping the
-    /// buffer allocated for the next request.
-    fn wait_one(&self) -> Result<Estimate, EngineError> {
-        let mut state = self.wait();
-        state
-            .results
-            .first_mut()
-            .and_then(Option::take)
-            .unwrap_or(Err(EngineError::Stopped))
-    }
-
-    /// Wait for a batch arm and drain the results in index order.
-    fn wait_collect(&self) -> Vec<Result<Estimate, EngineError>> {
-        let mut state = self.wait();
-        state
-            .results
-            .iter_mut()
-            .map(|slot| slot.take().unwrap_or(Err(EngineError::Stopped)))
-            .collect()
-    }
-}
-
-thread_local! {
-    /// The calling thread's reply slot, shared by all engines this thread
-    /// submits to. Sound because submission always blocks until every
-    /// reply lands — the slot is never armed re-entrantly.
-    static REPLY_SLOT: Arc<ReplySlot> = Arc::new(ReplySlot::new());
-}
-
-struct Job {
-    model: Arc<StoredModel>,
-    counts: Vec<f64>,
-    /// Position in the submitting batch (0 for single requests).
-    index: usize,
-    /// Submission time, for the queue-wait histogram. `None` when the
-    /// engine's metrics are disabled — no clock read on the opt-out path.
-    enqueued: Option<Instant>,
-    /// Trace of the request this job belongs to. Crossing the queue with
-    /// the job is what attributes queue wait to the *originating* request
-    /// rather than to the worker that dequeued it.
-    trace: Option<ActiveTrace>,
-    reply: Arc<ReplySlot>,
-    delivered: bool,
-}
-
-impl Job {
-    /// Mark the job queued on its originating trace (called on the
-    /// submitting thread, before the push).
-    fn mark_enqueued(&self) {
-        if let Some(trace) = &self.trace {
-            trace.begin("engine.queue", &[]);
-        }
-    }
-
-    /// Close the queue stage on dequeue (called on the worker thread).
-    fn mark_dequeued(&self) {
-        if let Some(trace) = &self.trace {
-            trace.end("engine.queue");
-        }
-    }
-
-    /// Deliver the outcome to the submitter's slot.
-    fn finish(mut self, outcome: Result<Estimate, EngineError>) {
-        self.delivered = true;
-        self.reply.deliver(self.index, outcome);
-    }
-}
-
-impl Drop for Job {
-    fn drop(&mut self) {
-        // A job dropped without an answer (e.g. during shutdown) still
-        // releases its submitter: every armed index is always delivered.
-        if !self.delivered {
-            self.reply.deliver(self.index, Err(EngineError::Stopped));
-        }
-    }
-}
-
-/// One worker's job queue: bounded deque + wakeup condvar.
-struct WorkerQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Push unless the queue is at capacity; returns the job back on
-    /// overflow so the submitter can try the next queue.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut jobs = self.jobs.lock().expect("worker queue poisoned");
-        if jobs.len() >= QUEUE_CAP {
-            return Err(job);
-        }
-        jobs.push_back(job);
-        drop(jobs);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Job> {
-        self.jobs.lock().expect("worker queue poisoned").pop_front()
-    }
-}
-
-/// State shared between submitters and workers.
-struct EngineShared {
-    queues: Vec<WorkerQueue>,
-    /// Round-robin cursor for submissions.
-    next: AtomicUsize,
-    stop: AtomicBool,
-    served: AtomicU64,
-    errors: AtomicU64,
-    /// Engine-wide compiled-model cache keyed by the `Arc` allocation
-    /// address of the stored model. Workers consult it on a local miss so
-    /// lowering runs once per model version, not once per worker.
-    compiled: Mutex<HashMap<usize, CompiledEntry>>,
-    /// Engine-wide fixed-point cache, keyed like `compiled`. The fixed
-    /// tier evaluates on the submitting thread (no worker round trip),
-    /// so there is no per-worker local layer; an entry whose lowering
-    /// failed is remembered as `fixed: None` so the fallback never
-    /// retries the lowering.
-    fixed: Mutex<HashMap<usize, FixedEntry>>,
-}
-
-impl EngineShared {
-    /// Round-robin push with overflow fallback: try the chosen queue,
-    /// then sweep the rest; if every queue is full, back off briefly and
-    /// retry (backpressure).
-    fn push(&self, mut job: Job) {
-        let n = self.queues.len();
-        let start = self.next.fetch_add(1, Ordering::Relaxed) % n;
-        loop {
-            for k in 0..n {
-                match self.queues[(start + k) % n].try_push(job) {
-                    Ok(()) => return,
-                    Err(back) => job = back,
-                }
-            }
-            thread::sleep(Duration::from_micros(50));
-        }
-    }
+/// One row of an engine batch: the model that answers it, its counts in
+/// the model's feature order, and the trace of the request it belongs
+/// to. A pipelined batch interleaves rows from *different* requests, so
+/// each row names its own trace rather than relying on the thread's
+/// ambient one.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    /// The model that answers this row.
+    pub model: &'a Arc<StoredModel>,
+    /// Feature-ordered PMC counts.
+    pub counts: &'a [f64],
+    /// Trace of the originating request, if it is traced.
+    pub trace: Option<&'a ActiveTrace>,
 }
 
 /// A stored model lowered for serving, plus the per-model constants the
 /// reply needs — computed once at compile time so the per-request path
 /// does no string cloning or t-table lookups.
-#[derive(Clone)]
 struct CompiledEntry {
     /// Keeps the keying `Arc` address valid for the cache's lifetime.
     _model: Arc<StoredModel>,
-    compiled: Arc<CompiledModel>,
+    compiled: CompiledModel,
     half_width: f64,
     family: Cow<'static, str>,
     version: u32,
     width: usize,
 }
 
-/// A stored model lowered to integer fixed point for the fast tier,
-/// plus the same per-model reply constants as [`CompiledEntry`].
-#[derive(Clone)]
-struct FixedEntry {
-    /// Keeps the keying `Arc` address valid for the cache's lifetime.
-    _model: Arc<StoredModel>,
-    /// `None` when the model cannot be lowered (unsupported family or
-    /// unrepresentable coefficients) — such models always serve f64.
-    fixed: Option<Arc<FixedModel>>,
-    half_width: f64,
-    family: Cow<'static, str>,
-    version: u32,
-    width: usize,
+impl CompiledEntry {
+    /// Check one row's shape and counts, then evaluate it.
+    fn answer(&self, counts: &[f64]) -> Result<Estimate, EngineError> {
+        if counts.len() != self.width {
+            return Err(EngineError::Shape {
+                expected: self.width,
+                got: counts.len(),
+            });
+        }
+        if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
+            return Err(EngineError::BadCount);
+        }
+        Ok(Estimate {
+            joules: self.compiled.predict_one(counts).max(0.0),
+            ci_half_width: self.half_width,
+            family: self.family.clone(),
+            version: self.version,
+        })
+    }
 }
 
-/// Time-attribution instruments of one engine: how long jobs sat in the
-/// queue versus how long inference itself took, plus the fixed tier's
-/// whole-batch SoA evaluations.
-#[derive(Debug, Clone)]
+/// Time-attribution instruments of one engine: how long a row waited
+/// behind the earlier rows of its group, and how long its own
+/// evaluation took.
+#[derive(Debug)]
 struct EngineMetrics {
     queue_wait: Histogram,
     compute: Histogram,
-    fixed_batch: Histogram,
 }
 
 impl EngineMetrics {
@@ -371,7 +157,6 @@ impl EngineMetrics {
         EngineMetrics {
             queue_wait: Histogram::standalone(),
             compute: Histogram::standalone(),
-            fixed_batch: Histogram::standalone(),
         }
     }
 
@@ -385,538 +170,192 @@ impl EngineMetrics {
         EngineMetrics {
             queue_wait: registry.histogram("pmca_engine_queue_wait_seconds", &[]),
             compute: registry.histogram("pmca_engine_compute_seconds", &[]),
-            fixed_batch: registry.histogram("pmca_engine_fixed_batch_seconds", &[]),
         }
     }
 }
 
-/// Per-thread scratch for the fixed tier: the SoA batch, the output
-/// vector, and the valid-row index map. Reused across batches so a warm
-/// fixed-tier request allocates nothing beyond the transient slice
-/// gather its bulk ingestion hands to `push_rows`.
-struct FixedScratch {
-    batch: FixedBatch,
-    out: Vec<f64>,
-    valid: Vec<usize>,
-}
-
-thread_local! {
-    static FIXED_SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch {
-        batch: FixedBatch::new(),
-        out: Vec::new(),
-        valid: Vec::new(),
-    });
-}
-
-/// Fixed worker-thread pool serving energy estimates.
+/// Compiled-model cache plus counters; evaluates rows on the caller's
+/// thread.
 pub struct InferenceEngine {
-    shared: Arc<EngineShared>,
-    handles: Vec<thread::JoinHandle<()>>,
-    workers: usize,
+    /// Engine-wide compiled-model cache keyed by the `Arc` allocation
+    /// address of the stored model — no per-request key cloning; the
+    /// entry's held `Arc` keeps the address valid.
+    compiled: RwLock<HashMap<usize, Arc<CompiledEntry>>>,
+    served: AtomicU64,
+    errors: AtomicU64,
     metrics: EngineMetrics,
 }
 
 impl fmt::Debug for InferenceEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InferenceEngine")
-            .field("workers", &self.workers)
             .field("served", &self.served())
             .field("errors", &self.errors())
             .finish()
     }
 }
 
+impl Default for InferenceEngine {
+    fn default() -> Self {
+        InferenceEngine::new()
+    }
+}
+
 impl InferenceEngine {
-    /// Start an engine with `workers` threads (≥ 1) and standalone
-    /// (unexported) metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        InferenceEngine::build(workers, EngineMetrics::standalone())
+    /// An engine with standalone (unexported) metrics.
+    pub fn new() -> Self {
+        InferenceEngine::build(EngineMetrics::standalone())
     }
 
-    /// Start an engine whose queue-wait and compute histograms are
-    /// registered as `pmca_engine_*_seconds` in `registry`. With a
-    /// disabled registry the engine never reads the clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_registry(workers: usize, registry: &MetricsRegistry) -> Self {
-        InferenceEngine::build(workers, EngineMetrics::from_registry(registry))
+    /// An engine whose queue-wait and compute histograms are registered
+    /// as `pmca_engine_*_seconds` in `registry`. With a disabled registry
+    /// the engine never reads the clock.
+    pub fn with_registry(registry: &MetricsRegistry) -> Self {
+        InferenceEngine::build(EngineMetrics::from_registry(registry))
     }
 
-    fn build(workers: usize, metrics: EngineMetrics) -> Self {
-        assert!(workers > 0, "inference engine needs at least one worker");
-        let shared = Arc::new(EngineShared {
-            queues: (0..workers).map(|_| WorkerQueue::new()).collect(),
-            next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
+    fn build(metrics: EngineMetrics) -> Self {
+        InferenceEngine {
+            compiled: RwLock::new(HashMap::new()),
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            compiled: Mutex::new(HashMap::new()),
-            fixed: Mutex::new(HashMap::new()),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let metrics = metrics.clone();
-                thread::Builder::new()
-                    .name(format!("pmca-infer-{i}"))
-                    .spawn(move || worker_loop(&shared, i, &metrics))
-                    .expect("spawn inference worker")
-            })
-            .collect();
-        InferenceEngine {
-            shared,
-            handles,
-            workers,
             metrics,
         }
     }
 
-    /// Submission timestamp for the queue-wait histogram: skip the clock
+    /// Arrival timestamp for the queue-wait histogram: skip the clock
     /// read entirely when metrics are off.
     fn stamp(&self) -> Option<Instant> {
         self.metrics.queue_wait.enabled().then(Instant::now)
     }
 
-    /// Answer one request on the pool.
+    /// Answer one request, recording into the thread's current trace.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] for malformed requests or a stopped engine.
+    /// Returns [`EngineError`] for malformed requests or a model that
+    /// fails to compile.
     pub fn estimate(
         &self,
         model: &Arc<StoredModel>,
-        counts: Vec<f64>,
+        counts: &[f64],
     ) -> Result<Estimate, EngineError> {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(EngineError::Stopped);
-        }
-        REPLY_SLOT.with(|slot| {
-            slot.arm(1);
-            let job = Job {
-                model: Arc::clone(model),
-                counts,
-                index: 0,
-                enqueued: self.stamp(),
-                trace: trace::current(),
-                reply: Arc::clone(slot),
-                delivered: false,
-            };
-            job.mark_enqueued();
-            self.shared.push(job);
-            slot.wait_one()
-        })
-    }
-
-    /// Answer a batch of requests against one model. All rows are enqueued
-    /// before any reply is awaited, so they spread across the pool; the
-    /// result order matches the input order.
-    pub fn estimate_batch(
-        &self,
-        model: &Arc<StoredModel>,
-        rows: Vec<Vec<f64>>,
-    ) -> Vec<Result<Estimate, EngineError>> {
-        let rows = rows.into_iter().map(|counts| (counts, None)).collect();
-        self.estimate_batch_traced(model, rows)
-    }
-
-    /// [`estimate_batch`](InferenceEngine::estimate_batch) with an
-    /// explicit per-row trace. A pipelined batch interleaves rows from
-    /// *different* request traces, so the submitting thread's ambient
-    /// current trace would misattribute them — each row carries its own.
-    pub fn estimate_batch_traced(
-        &self,
-        model: &Arc<StoredModel>,
-        rows: Vec<(Vec<f64>, Option<ActiveTrace>)>,
-    ) -> Vec<Result<Estimate, EngineError>> {
-        let total = rows.len();
-        if self.shared.stop.load(Ordering::Acquire) {
-            return (0..total).map(|_| Err(EngineError::Stopped)).collect();
-        }
-        REPLY_SLOT.with(|slot| {
-            slot.arm(total);
-            for (index, (counts, trace)) in rows.into_iter().enumerate() {
-                let job = Job {
-                    model: Arc::clone(model),
-                    counts,
-                    index,
-                    enqueued: self.stamp(),
-                    trace,
-                    reply: Arc::clone(slot),
-                    delivered: false,
-                };
-                job.mark_enqueued();
-                self.shared.push(job);
-            }
-            slot.wait_collect()
-        })
-    }
-
-    /// Answer one request on the fixed-point fast tier (see
-    /// [`estimate_batch_fixed_traced`](InferenceEngine::estimate_batch_fixed_traced)
-    /// for the tier's fallback rules). Unlike the batch entry point this
-    /// path allocates nothing on a warm scratch — no row vector, no
-    /// result collection — which is what pipelined `ESTIMATE` traffic
-    /// rides on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for malformed requests or a stopped engine.
-    pub fn estimate_fixed(
-        &self,
-        model: &Arc<StoredModel>,
-        counts: Vec<f64>,
-    ) -> Result<Estimate, EngineError> {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(EngineError::Stopped);
-        }
-        let entry = self.fixed_entry(model);
-        // Same fallback rules as the batch path: unlowerable model or an
-        // oversized (but valid) count serves f64, bit-identically.
-        let fallback = match entry.fixed.as_ref() {
-            None => true,
-            Some(_) => counts.iter().any(|c| *c > FIXED_FEATURE_MAX),
-        };
-        if fallback {
-            return self
-                .estimate_batch_traced(model, vec![(counts, trace::current())])
-                .pop()
-                .unwrap_or(Err(EngineError::Stopped));
-        }
-        let fixed = entry.fixed.as_ref().expect("checked above");
-        let started = self.metrics.fixed_batch.enabled().then(Instant::now);
         let trace = trace::current();
-        if let Some(trace) = trace.as_ref() {
-            trace.begin("engine.fixed", &[]);
-        }
-        let result = if counts.len() != entry.width {
-            Err(EngineError::Shape {
-                expected: entry.width,
-                got: counts.len(),
-            })
-        } else if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-            Err(EngineError::BadCount)
-        } else {
-            let joules = FIXED_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                scratch.batch.clear();
-                scratch.out.clear();
-                fixed.push_row(&mut scratch.batch, &counts);
-                fixed.predict_batch_into(&mut scratch.batch, &mut scratch.out);
-                scratch.out[0]
-            });
-            Ok(Estimate {
-                joules: joules.max(0.0),
-                ci_half_width: entry.half_width
-                    + fixed
-                        .direct_error_bound()
-                        .unwrap_or_else(|| fixed.error_bound()),
-                family: entry.family.clone(),
-                version: entry.version,
-            })
+        let row = Row {
+            model,
+            counts,
+            trace: trace.as_ref(),
         };
-        if let Some(trace) = trace.as_ref() {
-            trace.end("engine.fixed");
-        }
-        if let Some(started) = started {
-            self.metrics.fixed_batch.record(started.elapsed());
-        }
-        match &result {
-            Ok(_) => self.shared.served.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.shared.errors.fetch_add(1, Ordering::Relaxed),
-        };
-        result
+        self.estimate_rows(&[row])
+            .pop()
+            .expect("one answer per row")
     }
 
-    /// Answer a batch of requests against one model on the fixed-point
-    /// fast tier: the whole batch is quantized into a reusable SoA
-    /// scratch and evaluated inline on the calling thread — integer-only
-    /// arithmetic, no worker-queue round trip, no allocation once the
-    /// scratch is warm. The result order matches the input order.
-    ///
-    /// The tier falls back to
-    /// [`estimate_batch_traced`](InferenceEngine::estimate_batch_traced)
-    /// as a whole batch when the model cannot be lowered to fixed point
-    /// or any count exceeds the lowered input domain, so callers always
-    /// get an answer; malformed rows (shape mismatch, non-finite or
-    /// negative counts) error individually, exactly like the f64 path.
-    ///
-    /// Served estimates carry `ci_half_width` widened by the lowered
-    /// model's proven error bound, so the fixed tier's interval still
-    /// covers the f64 answer.
-    pub fn estimate_batch_fixed_traced(
-        &self,
-        model: &Arc<StoredModel>,
-        rows: Vec<(Vec<f64>, Option<ActiveTrace>)>,
-    ) -> Vec<Result<Estimate, EngineError>> {
-        let total = rows.len();
-        if self.shared.stop.load(Ordering::Acquire) {
-            return (0..total).map(|_| Err(EngineError::Stopped)).collect();
-        }
-        let entry = self.fixed_entry(model);
-        let Some(fixed) = entry.fixed.as_ref() else {
-            return self.estimate_batch_traced(model, rows);
-        };
-        // One oversized (but valid) count anywhere sends the whole batch
-        // down the f64 path: mixed batches would interleave the two
-        // evaluators for no latency win.
-        if rows
-            .iter()
-            .any(|(counts, _)| counts.iter().any(|c| *c > FIXED_FEATURE_MAX))
-        {
-            return self.estimate_batch_traced(model, rows);
-        }
-        let ci_half_width = entry.half_width
-            + fixed
-                .direct_error_bound()
-                .unwrap_or_else(|| fixed.error_bound());
-        let started = self.metrics.fixed_batch.enabled().then(Instant::now);
-        for trace in rows.iter().filter_map(|(_, trace)| trace.as_ref()) {
-            trace.begin("engine.fixed", &[]);
-        }
-        let mut results: Vec<Option<Result<Estimate, EngineError>>> = Vec::with_capacity(total);
-        results.resize_with(total, || None);
-        FIXED_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.batch.clear();
-            scratch.out.clear();
-            scratch.valid.clear();
-            for (i, (counts, _)) in rows.iter().enumerate() {
-                if counts.len() != entry.width {
-                    results[i] = Some(Err(EngineError::Shape {
-                        expected: entry.width,
-                        got: counts.len(),
-                    }));
-                    continue;
-                }
-                if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-                    results[i] = Some(Err(EngineError::BadCount));
-                    continue;
-                }
-                scratch.valid.push(i);
+    /// Answer a batch of rows, possibly spanning several models, on the
+    /// calling thread. Rows are evaluated one model group at a time —
+    /// one compiled-model lookup per group — and the answers come back
+    /// in input order, each row failing on its own when malformed.
+    pub fn estimate_rows(&self, rows: &[Row<'_>]) -> Vec<Result<Estimate, EngineError>> {
+        let mut answers: Vec<Option<Result<Estimate, EngineError>>> = Vec::new();
+        answers.resize_with(rows.len(), || None);
+        for (first, lead) in rows.iter().enumerate() {
+            if answers[first].is_some() {
+                continue;
             }
-            // Bulk ingestion: one width check and one column
-            // reservation for the whole batch instead of one per row
-            // (the per-row validation above already produced the
-            // individual Shape/BadCount errors). Single-row batches —
-            // the pipelined ESTIMATE hot path — skip the slice gather
-            // so they stay allocation-free.
-            match scratch.valid.as_slice() {
-                &[i] => fixed.push_row(&mut scratch.batch, &rows[i].0),
-                valid => {
-                    let valid_rows: Vec<&[f64]> =
-                        valid.iter().map(|&i| rows[i].0.as_slice()).collect();
-                    fixed.push_rows(&mut scratch.batch, &valid_rows);
+            // `lead` opens a new group: it and every later row on the
+            // same model, evaluated back to back.
+            let arrived = self.stamp();
+            let entry = self.compiled_entry(lead.model);
+            for (i, row) in rows.iter().enumerate().skip(first) {
+                if Arc::ptr_eq(row.model, lead.model) {
+                    answers[i] = Some(self.evaluate(&entry, row, arrived));
                 }
             }
-            fixed.predict_batch_into(&mut scratch.batch, &mut scratch.out);
-            for (&i, joules) in scratch.valid.iter().zip(&scratch.out) {
-                results[i] = Some(Ok(Estimate {
-                    joules: joules.max(0.0),
-                    ci_half_width,
-                    family: entry.family.clone(),
-                    version: entry.version,
-                }));
-            }
-        });
-        for trace in rows.iter().filter_map(|(_, trace)| trace.as_ref()) {
-            trace.end("engine.fixed");
         }
-        if let Some(started) = started {
-            self.metrics.fixed_batch.record(started.elapsed());
-        }
-        let results: Vec<Result<Estimate, EngineError>> = results
+        let answers: Vec<Result<Estimate, EngineError>> = answers
             .into_iter()
-            .map(|slot| slot.unwrap_or(Err(EngineError::Stopped)))
+            .map(|answer| answer.expect("every row belongs to a group"))
             .collect();
-        let ok = results.iter().filter(|r| r.is_ok()).count() as u64;
-        self.shared.served.fetch_add(ok, Ordering::Relaxed);
-        self.shared
-            .errors
-            .fetch_add(total as u64 - ok, Ordering::Relaxed);
-        results
+        let ok = answers.iter().filter(|a| a.is_ok()).count() as u64;
+        self.served.fetch_add(ok, Ordering::Relaxed);
+        self.errors
+            .fetch_add(answers.len() as u64 - ok, Ordering::Relaxed);
+        answers
     }
 
-    /// Look up (or build) the fixed-point lowering of `model`. Unlike
-    /// the compiled cache there is no worker-local layer — the fixed
-    /// tier runs on submitting threads — and a failed lowering is cached
-    /// as `None` so it is attempted once per model version.
-    fn fixed_entry(&self, model: &Arc<StoredModel>) -> FixedEntry {
+    /// Evaluate one row of a group that reached the engine at `arrived`:
+    /// the gap up to now is the row's queue wait, the rest its compute.
+    /// The trace events bracket the timed part, so the compute histogram
+    /// never includes the cost of recording them.
+    fn evaluate(
+        &self,
+        entry: &Result<Arc<CompiledEntry>, EngineError>,
+        row: &Row<'_>,
+        arrived: Option<Instant>,
+    ) -> Result<Estimate, EngineError> {
+        if let Some(trace) = row.trace {
+            trace.begin("engine.compute", &[]);
+        }
+        let started = arrived.map(|arrived| {
+            let now = Instant::now();
+            self.metrics.queue_wait.record(now - arrived);
+            now
+        });
+        let answer = match entry {
+            Ok(entry) => entry.answer(row.counts),
+            Err(e) => Err(e.clone()),
+        };
+        if let Some(started) = started {
+            self.metrics.compute.record(started.elapsed());
+        }
+        if let Some(trace) = row.trace {
+            trace.end("engine.compute");
+        }
+        answer
+    }
+
+    /// Look up (or build) the compiled form of `model`, compiling outside
+    /// the lock on a miss. Two threads racing on a brand-new model may
+    /// both compile; the first insert wins and the other copy is dropped
+    /// — benign, and it keeps the lock out of the lowering pass.
+    fn compiled_entry(&self, model: &Arc<StoredModel>) -> Result<Arc<CompiledEntry>, EngineError> {
         let cache_key = Arc::as_ptr(model) as usize;
-        self.shared
-            .fixed
-            .lock()
-            .expect("fixed cache poisoned")
-            .entry(cache_key)
-            .or_insert_with(|| FixedEntry {
-                _model: Arc::clone(model),
-                fixed: FixedModel::lower(&model.params, FIXED_FEATURE_MAX)
-                    .ok()
-                    .map(Arc::new),
-                half_width: prediction_half_width(model),
-                family: intern_family(&model.key.family),
-                version: model.version,
-                width: model.params.width(),
-            })
-            .clone()
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
+        if let Some(entry) = self
+            .compiled
+            .read()
+            .expect("compiled cache poisoned")
+            .get(&cache_key)
+        {
+            return Ok(Arc::clone(entry));
+        }
+        let compiled =
+            CompiledModel::compile(&model.params).map_err(|e| EngineError::Model(e.to_string()))?;
+        let entry = Arc::new(CompiledEntry {
+            _model: Arc::clone(model),
+            compiled,
+            half_width: prediction_half_width(model),
+            family: intern_family(&model.key.family),
+            version: model.version,
+            width: model.params.width(),
+        });
+        Ok(Arc::clone(
+            self.compiled
+                .write()
+                .expect("compiled cache poisoned")
+                .entry(cache_key)
+                .or_insert(entry),
+        ))
     }
 
     /// Requests answered successfully.
     pub fn served(&self) -> u64 {
-        self.shared.served.load(Ordering::Relaxed)
+        self.served.load(Ordering::Relaxed)
     }
 
     /// Requests answered with an error.
     pub fn errors(&self) -> u64 {
-        self.shared.errors.load(Ordering::Relaxed)
+        self.errors.load(Ordering::Relaxed)
     }
-}
-
-impl Drop for InferenceEngine {
-    fn drop(&mut self) {
-        // `drop` holds `&mut self`, so no estimate call is in flight:
-        // workers drain any stragglers, observe `stop`, and exit.
-        self.shared.stop.store(true, Ordering::Release);
-        for queue in &self.shared.queues {
-            queue.ready.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Per-worker compiled-predictor cache. Keyed by the `Arc` allocation
-/// address of the stored model — no per-request key cloning; the held
-/// `Arc` keeps the address valid for the cache's lifetime.
-type LocalCompiledCache = HashMap<usize, CompiledEntry>;
-
-fn worker_loop(shared: &EngineShared, me: usize, metrics: &EngineMetrics) {
-    let mut compiled: LocalCompiledCache = HashMap::new();
-    let n = shared.queues.len();
-    loop {
-        // Own queue first, then a steal sweep over the neighbours.
-        let mut job = shared.queues[me].pop();
-        if job.is_none() {
-            for k in 1..n {
-                job = shared.queues[(me + k) % n].pop();
-                if job.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(job) = job else {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let guard = shared.queues[me]
-                .jobs
-                .lock()
-                .expect("worker queue poisoned");
-            if guard.is_empty() {
-                // Timed wait: bounds the lost-wakeup window and paces the
-                // steal sweep while idle.
-                let _ = shared.queues[me].ready.wait_timeout(guard, IDLE_POLL);
-            }
-            continue;
-        };
-        if let Some(enqueued) = job.enqueued {
-            metrics.queue_wait.record(enqueued.elapsed());
-        }
-        job.mark_dequeued();
-        let outcome = {
-            // Adopt the originating request's trace for the duration of
-            // the computation so substrate spans land in it too.
-            let _trace_scope = trace::scope(job.trace.as_ref());
-            let _compute_trace = TraceSpan::enter("engine.compute");
-            let _compute = Span::enter(&metrics.compute);
-            answer(&job, &mut compiled, shared)
-        };
-        if outcome.is_ok() {
-            shared.served.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        job.finish(outcome);
-    }
-}
-
-/// Look up (or build) the compiled form of `model`: worker-local cache
-/// first, then the engine-wide cache, compiling outside the shared lock
-/// on a double miss. Two workers racing on a brand-new model may both
-/// compile; the loser's copy is dropped — benign, and it keeps the lock
-/// out of the lowering pass.
-fn compiled_entry<'c>(
-    model: &Arc<StoredModel>,
-    local: &'c mut LocalCompiledCache,
-    shared: &EngineShared,
-) -> Result<&'c CompiledEntry, EngineError> {
-    let cache_key = Arc::as_ptr(model) as usize;
-    if let std::collections::hash_map::Entry::Vacant(slot) = local.entry(cache_key) {
-        let cached = shared
-            .compiled
-            .lock()
-            .expect("compiled cache poisoned")
-            .get(&cache_key)
-            .cloned();
-        let entry = match cached {
-            Some(entry) => entry,
-            None => {
-                let compiled = CompiledModel::compile(&model.params)
-                    .map_err(|e| EngineError::Model(e.to_string()))?;
-                let entry = CompiledEntry {
-                    _model: Arc::clone(model),
-                    compiled: Arc::new(compiled),
-                    half_width: prediction_half_width(model),
-                    family: intern_family(&model.key.family),
-                    version: model.version,
-                    width: model.params.width(),
-                };
-                shared
-                    .compiled
-                    .lock()
-                    .expect("compiled cache poisoned")
-                    .insert(cache_key, entry.clone());
-                entry
-            }
-        };
-        slot.insert(entry);
-    }
-    Ok(local.get(&cache_key).expect("just inserted"))
-}
-
-fn answer(
-    job: &Job,
-    local: &mut LocalCompiledCache,
-    shared: &EngineShared,
-) -> Result<Estimate, EngineError> {
-    let entry = compiled_entry(&job.model, local, shared)?;
-    if job.counts.len() != entry.width {
-        return Err(EngineError::Shape {
-            expected: entry.width,
-            got: job.counts.len(),
-        });
-    }
-    if job.counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-        return Err(EngineError::BadCount);
-    }
-    let joules = entry.compiled.predict_one(&job.counts).max(0.0);
-    Ok(Estimate {
-        joules,
-        ci_half_width: entry.half_width,
-        family: entry.family.clone(),
-        version: entry.version,
-    })
 }
 
 /// 95 % prediction half-width from the model's training residuals.
@@ -953,11 +392,22 @@ mod tests {
         )
     }
 
+    fn rows_of<'a>(model: &'a Arc<StoredModel>, counts: &'a [Vec<f64>]) -> Vec<Row<'a>> {
+        counts
+            .iter()
+            .map(|counts| Row {
+                model,
+                counts,
+                trace: None,
+            })
+            .collect()
+    }
+
     #[test]
     fn estimates_match_the_model_arithmetic() {
-        let engine = InferenceEngine::new(2);
+        let engine = InferenceEngine::new();
         let model = registered(&[2.0, 0.5], 0.0, 20);
-        let estimate = engine.estimate(&model, vec![10.0, 4.0]).unwrap();
+        let estimate = engine.estimate(&model, &[10.0, 4.0]).unwrap();
         assert!((estimate.joules - 22.0).abs() < 1e-12);
         assert_eq!(estimate.ci_half_width, 0.0);
         assert_eq!(estimate.family, "online");
@@ -972,28 +422,28 @@ mod tests {
         // df = 22 - 2 = 20.
         let expected = t_critical(20, 0.95) * 2.0;
         assert!((prediction_half_width(&model) - expected).abs() < 1e-12);
-        let engine = InferenceEngine::new(1);
-        let estimate = engine.estimate(&model, vec![1.0, 1.0]).unwrap();
+        let engine = InferenceEngine::new();
+        let estimate = engine.estimate(&model, &[1.0, 1.0]).unwrap();
         assert!((estimate.ci_half_width - expected).abs() < 1e-12);
     }
 
     #[test]
     fn malformed_requests_are_rejected_and_counted() {
-        let engine = InferenceEngine::new(1);
+        let engine = InferenceEngine::new();
         let model = registered(&[1.0, 1.0], 0.0, 10);
         assert_eq!(
-            engine.estimate(&model, vec![1.0]).unwrap_err(),
+            engine.estimate(&model, &[1.0]).unwrap_err(),
             EngineError::Shape {
                 expected: 2,
                 got: 1
             }
         );
         assert_eq!(
-            engine.estimate(&model, vec![1.0, f64::NAN]).unwrap_err(),
+            engine.estimate(&model, &[1.0, f64::NAN]).unwrap_err(),
             EngineError::BadCount
         );
         assert_eq!(
-            engine.estimate(&model, vec![1.0, -2.0]).unwrap_err(),
+            engine.estimate(&model, &[1.0, -2.0]).unwrap_err(),
             EngineError::BadCount
         );
         assert_eq!(engine.errors(), 3);
@@ -1001,16 +451,47 @@ mod tests {
     }
 
     #[test]
-    fn batches_preserve_order_across_workers() {
-        let engine = InferenceEngine::new(4);
-        let model = registered(&[1.0], 0.0, 10);
-        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
-        let answers = engine.estimate_batch(&model, rows);
-        assert_eq!(answers.len(), 64);
-        for (i, answer) in answers.iter().enumerate() {
-            assert!((answer.as_ref().unwrap().joules - i as f64).abs() < 1e-12);
-        }
-        assert_eq!(engine.served(), 64);
+    fn mixed_batches_answer_in_order_with_per_row_errors() {
+        let engine = InferenceEngine::new();
+        let narrow = registered(&[1.0], 0.0, 10);
+        let wide = registered(&[2.0, 3.0], 0.0, 10);
+        // Good rows for both models interleaved, one wrong-width row and
+        // one negative-count row in between.
+        let batch: Vec<(&Arc<StoredModel>, Vec<f64>)> = vec![
+            (&narrow, vec![1.0]),
+            (&wide, vec![1.0, 1.0]),
+            (&narrow, vec![2.0]),
+            (&wide, vec![1.0]),
+            (&wide, vec![2.0, 1.0]),
+            (&narrow, vec![-3.0]),
+            (&narrow, vec![4.0]),
+        ];
+        let rows: Vec<Row<'_>> = batch
+            .iter()
+            .map(|(model, counts)| Row {
+                model,
+                counts,
+                trace: None,
+            })
+            .collect();
+        let answers = engine.estimate_rows(&rows);
+        let joules = |i: usize| answers[i].as_ref().unwrap().joules;
+        assert_eq!(answers.len(), 7);
+        assert_eq!(joules(0), 1.0);
+        assert_eq!(joules(1), 5.0);
+        assert_eq!(joules(2), 2.0);
+        assert_eq!(
+            answers[3],
+            Err(EngineError::Shape {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(joules(4), 7.0);
+        assert_eq!(answers[5], Err(EngineError::BadCount));
+        assert_eq!(joules(6), 4.0);
+        assert_eq!(engine.served(), 5);
+        assert_eq!(engine.errors(), 2);
     }
 
     #[test]
@@ -1028,16 +509,16 @@ mod tests {
                 intercept: -100.0,
             },
         );
-        let engine = InferenceEngine::new(1);
-        assert_eq!(engine.estimate(&model, vec![1.0]).unwrap().joules, 0.0);
+        let engine = InferenceEngine::new();
+        assert_eq!(engine.estimate(&model, &[1.0]).unwrap().joules, 0.0);
     }
 
     #[test]
     fn registry_backed_engines_attribute_time() {
         let registry = MetricsRegistry::new();
-        let engine = InferenceEngine::with_registry(2, &registry);
+        let engine = InferenceEngine::with_registry(&registry);
         let model = registered(&[1.0], 0.0, 10);
-        let _ = engine.estimate(&model, vec![1.0]).unwrap();
+        let _ = engine.estimate(&model, &[1.0]).unwrap();
         let lines = registry.render();
         assert!(
             lines.contains(&"pmca_engine_compute_seconds_count 1".to_string()),
@@ -1050,31 +531,46 @@ mod tests {
     }
 
     #[test]
-    fn traces_cross_the_worker_channel_and_attribute_queue_wait() {
+    fn queue_wait_and_compute_count_every_evaluated_row() {
+        let engine = InferenceEngine::new();
+        let narrow = registered(&[1.0], 0.0, 10);
+        let wide = registered(&[1.0, 1.0], 0.0, 10);
+        let narrow_rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i)]).collect();
+        let wide_rows: Vec<Vec<f64>> = (0..24).map(|i| vec![f64::from(i), 1.0]).collect();
+        let mut rows = rows_of(&narrow, &narrow_rows);
+        rows.extend(rows_of(&wide, &wide_rows));
+        assert!(engine.estimate_rows(&rows).iter().all(Result::is_ok));
+        let _ = engine.estimate(&narrow, &[5.0]).unwrap();
+        let evaluated = 40 + 24 + 1;
+        assert_eq!(engine.metrics.queue_wait.count(), evaluated);
+        assert_eq!(engine.metrics.compute.count(), evaluated);
+        assert_eq!(engine.served(), evaluated);
+    }
+
+    #[test]
+    fn traces_attribute_compute_to_the_originating_request() {
         use pmca_obs::TracerConfig;
 
         let tracer = TracerConfig::new().build().unwrap();
-        let engine = InferenceEngine::new(2);
+        let engine = InferenceEngine::new();
         let model = registered(&[1.0], 0.0, 10);
         let request_trace = tracer.start("estimate", &[]).unwrap();
         {
             let _scope = trace::scope(Some(&request_trace));
-            let _ = engine.estimate(&model, vec![1.0]).unwrap();
+            let _ = engine.estimate(&model, &[1.0]).unwrap();
         }
         tracer.finish(&request_trace);
         let completed = tracer.slowest().expect("trace finished");
-        let names: Vec<&str> = completed.events.iter().map(|e| e.name.as_str()).collect();
-        // Queue stage opened on the submitting thread, closed by the
-        // worker; compute bracketed on the worker thread.
-        assert!(names.contains(&"engine.queue"), "{names:?}");
-        assert!(names.contains(&"engine.compute"), "{names:?}");
         let durations = completed.span_durations();
-        for stage in ["engine.queue", "engine.compute"] {
-            assert!(
-                durations.iter().any(|(name, _)| name == stage),
-                "{stage} missing from {durations:?}"
-            );
-        }
+        assert!(
+            durations.iter().any(|(name, _)| name == "engine.compute"),
+            "engine.compute missing from {durations:?}"
+        );
+        assert!(
+            !completed.events.iter().any(|e| e.name == "engine.queue"),
+            "no queue stage without a queue: {:?}",
+            completed.events
+        );
     }
 
     #[test]
@@ -1082,17 +578,22 @@ mod tests {
         use pmca_obs::TracerConfig;
 
         let tracer = TracerConfig::new().build().unwrap();
-        let engine = InferenceEngine::new(4);
+        let engine = InferenceEngine::new();
         let model = registered(&[1.0], 0.0, 10);
         let traces: Vec<ActiveTrace> = (0..8)
             .map(|_| tracer.start("estimate", &[]).unwrap())
             .collect();
-        let rows = traces
+        let counts: Vec<Vec<f64>> = (0..8).map(|i| vec![f64::from(i)]).collect();
+        let rows: Vec<Row<'_>> = counts
             .iter()
-            .enumerate()
-            .map(|(i, trace)| (vec![i as f64], Some(trace.clone())))
+            .zip(&traces)
+            .map(|(counts, trace)| Row {
+                model: &model,
+                counts,
+                trace: Some(trace),
+            })
             .collect();
-        let answers = engine.estimate_batch_traced(&model, rows);
+        let answers = engine.estimate_rows(&rows);
         assert!(answers.iter().all(Result::is_ok));
         for trace in &traces {
             tracer.finish(trace);
@@ -1100,190 +601,33 @@ mod tests {
         let recent = tracer.recent();
         assert_eq!(recent.len(), 8);
         for completed in recent {
-            let durations = completed.span_durations();
-            // Each request trace got exactly its own queue + compute pair.
-            for stage in ["engine.queue", "engine.compute"] {
-                assert_eq!(
-                    completed.events.iter().filter(|e| e.name == stage).count(),
-                    2,
-                    "{stage} events in {:?}",
-                    completed.events
-                );
-                assert!(durations.iter().any(|(name, _)| name == stage));
-            }
+            // Each request trace got exactly its own compute pair.
+            assert_eq!(
+                completed
+                    .events
+                    .iter()
+                    .filter(|e| e.name == "engine.compute")
+                    .count(),
+                2,
+                "{:?}",
+                completed.events
+            );
         }
     }
 
     #[test]
     fn disabled_registries_keep_the_engine_clock_free() {
         let registry = MetricsRegistry::disabled();
-        let engine = InferenceEngine::with_registry(1, &registry);
+        let engine = InferenceEngine::with_registry(&registry);
         assert!(
             engine.stamp().is_none(),
             "no clock read when metrics are off"
         );
         let model = registered(&[1.0], 0.0, 10);
-        let _ = engine.estimate(&model, vec![1.0]).unwrap();
+        let _ = engine.estimate(&model, &[1.0]).unwrap();
         assert!(registry
             .render()
             .contains(&"pmca_engine_compute_seconds_count 0".to_string()));
-    }
-
-    #[test]
-    fn work_stealing_never_drops_or_doubles_jobs() {
-        // Hammer a 4-worker engine from 8 submitter threads. Every
-        // submitted job must be answered exactly once with its own row's
-        // arithmetic: served == submitted proves no job was dropped, and
-        // the per-request value check proves no reply was cross-wired or
-        // double-delivered into another request's slot.
-        let engine = Arc::new(InferenceEngine::new(4));
-        let model = registered(&[1.0], 0.0, 10);
-        let submitters = 8;
-        let per_thread = 500u32;
-        let handles: Vec<_> = (0..submitters)
-            .map(|t| {
-                let engine = Arc::clone(&engine);
-                let model = Arc::clone(&model);
-                thread::spawn(move || {
-                    for i in 0..per_thread {
-                        let v = f64::from(t * per_thread + i);
-                        let estimate = engine.estimate(&model, vec![v]).unwrap();
-                        assert!((estimate.joules - v).abs() < 1e-12);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(
-            engine.served(),
-            u64::from(submitters) * u64::from(per_thread)
-        );
-        assert_eq!(engine.errors(), 0);
-    }
-
-    #[test]
-    fn fixed_tier_answers_stay_within_the_lowered_error_bound() {
-        let engine = InferenceEngine::new(2);
-        let model = registered(&[2.0e-9, 0.5e-9], 1.5, 20);
-        let fixed = FixedModel::lower(&model.params, FIXED_FEATURE_MAX).unwrap();
-        let bound = fixed.direct_error_bound().unwrap();
-        for i in 0..16 {
-            let row = vec![1.0e10 + 3.7e9 * f64::from(i), 2.5e9 * f64::from(i)];
-            let f64_answer = engine.estimate(&model, row.clone()).unwrap();
-            let fast = engine.estimate_fixed(&model, row).unwrap();
-            assert!(
-                (fast.joules - f64_answer.joules).abs() <= bound,
-                "|{} - {}| > {bound}",
-                fast.joules,
-                f64_answer.joules
-            );
-            // The fixed tier widens the interval by the proven bound so
-            // it still covers the f64 answer.
-            assert!((fast.ci_half_width - (f64_answer.ci_half_width + bound)).abs() < 1e-15);
-            assert_eq!(fast.family, f64_answer.family);
-            assert_eq!(fast.version, f64_answer.version);
-        }
-    }
-
-    #[test]
-    fn fixed_batches_preserve_order_and_report_per_row_errors() {
-        let engine = InferenceEngine::new(2);
-        let model = registered(&[1.0e-9], 0.0, 10);
-        let mut rows: Vec<(Vec<f64>, Option<ActiveTrace>)> = (0..32)
-            .map(|i| (vec![1.0e9 * f64::from(i)], None))
-            .collect();
-        rows.insert(7, (vec![1.0, 2.0], None)); // shape error
-        rows.insert(21, (vec![-3.0], None)); // bad count
-        let answers = engine.estimate_batch_fixed_traced(&model, rows);
-        assert_eq!(answers.len(), 34);
-        assert!(matches!(answers[7], Err(EngineError::Shape { .. })));
-        assert_eq!(answers[21], Err(EngineError::BadCount));
-        let fixed = FixedModel::lower(&model.params, FIXED_FEATURE_MAX).unwrap();
-        let bound = fixed.direct_error_bound().unwrap();
-        for (i, answer) in answers.iter().enumerate() {
-            if i == 7 || i == 21 {
-                continue;
-            }
-            let logical = if i < 7 {
-                i
-            } else if i < 21 {
-                i - 1
-            } else {
-                i - 2
-            };
-            let expected = 1.0e9 * logical as f64 * 1.0e-9;
-            assert!(
-                (answer.as_ref().unwrap().joules - expected).abs() <= bound,
-                "row {i}"
-            );
-        }
-        assert_eq!(engine.served(), 32);
-        assert_eq!(engine.errors(), 2);
-    }
-
-    #[test]
-    fn fixed_tier_falls_back_for_unlowerable_models_and_huge_counts() {
-        let engine = InferenceEngine::new(1);
-        // Out-of-domain count: the whole batch takes the f64 path, so the
-        // answer is bit-identical to the plain engine's.
-        let model = registered(&[2.5e-9, 1.25e-9], 0.75, 20);
-        let row = vec![5.0e13, 1.0e9];
-        let direct = engine.estimate(&model, row.clone()).unwrap();
-        let fast = engine.estimate_fixed(&model, row).unwrap();
-        assert_eq!(fast, direct, "oversized counts fall back bit-identically");
-        // Unsupported family: the cached entry remembers the failed
-        // lowering and every request serves f64.
-        let mut registry = Registry::new();
-        let neural = registry.register(
-            "skylake",
-            "neural",
-            vec!["E0".to_string()],
-            0.0,
-            10,
-            ModelParams::Neural(pmca_mlkit::nn::NetworkWeights {
-                activation: pmca_mlkit::nn::Activation::Linear,
-                layers: vec![pmca_mlkit::nn::LayerWeights {
-                    weights: vec![vec![2.0]],
-                    biases: vec![0.5],
-                }],
-                feature_means: vec![0.0],
-                feature_stds: vec![1.0],
-                target_mean: 0.0,
-                target_std: 1.0,
-            }),
-        );
-        let direct = engine.estimate(&neural, vec![3.0]).unwrap();
-        let fast = engine.estimate_fixed(&neural, vec![3.0]).unwrap();
-        assert_eq!(fast, direct, "unlowerable models fall back bit-identically");
-    }
-
-    #[test]
-    fn fixed_batches_record_into_their_histogram_and_traces() {
-        use pmca_obs::TracerConfig;
-
-        let registry = MetricsRegistry::new();
-        let engine = InferenceEngine::with_registry(1, &registry);
-        let model = registered(&[1.0e-9], 0.0, 10);
-        let tracer = TracerConfig::new().build().unwrap();
-        let request_trace = tracer.start("estimate", &[]).unwrap();
-        let rows = vec![(vec![1.0e9], Some(request_trace.clone()))];
-        let answers = engine.estimate_batch_fixed_traced(&model, rows);
-        assert!(answers[0].is_ok());
-        tracer.finish(&request_trace);
-        let completed = tracer.slowest().expect("trace finished");
-        assert!(
-            completed
-                .span_durations()
-                .iter()
-                .any(|(name, _)| name == "engine.fixed"),
-            "{:?}",
-            completed.events
-        );
-        assert!(registry
-            .render()
-            .contains(&"pmca_engine_fixed_batch_seconds_count 1".to_string()));
     }
 
     #[test]
@@ -1291,11 +635,11 @@ mod tests {
         // The engine serves the compiled lowering; spot-check against the
         // uncompiled revived predictor for bit-identity.
         let model = registered(&[2.5, -0.0, 1.25], 0.0, 30);
-        let engine = InferenceEngine::new(2);
+        let engine = InferenceEngine::new();
         let revived = model.params.instantiate().unwrap();
         for i in 0..32 {
             let row = vec![f64::from(i), f64::from(i * 3 % 7), f64::from(100 - i)];
-            let served = engine.estimate(&model, row.clone()).unwrap().joules;
+            let served = engine.estimate(&model, &row).unwrap().joules;
             assert_eq!(served, revived.predict_one(&row).max(0.0));
         }
     }

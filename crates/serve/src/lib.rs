@@ -7,8 +7,9 @@
 //! - [`registry`] — a versioned store of trained model artifacts keyed by
 //!   (platform, PMC set, model family), persisted as plain text under
 //!   `results/registry/`;
-//! - [`engine`] — a fixed pool of worker threads answering "PMC vector →
-//!   dynamic energy (J) ± 95 % prediction interval" requests;
+//! - [`engine`] — compiled models answering "PMC vector → dynamic
+//!   energy (J) ± 95 % prediction interval" requests on the calling
+//!   thread (the connection thread or event loop);
 //! - [`cache`] — a memo of simulator collection runs keyed by
 //!   (application fingerprint, platform, seed, event set), with hit/miss
 //!   counters;
@@ -30,8 +31,8 @@
 //! Everything is `std`-only — threads and channels, no external runtime.
 //! Observability comes from the sibling `pmca-obs` crate: aggregate
 //! metrics (latency histograms, hit/miss/error counters) exposed via the
-//! `METRICS` command, and per-request traces — queue wait, cache lookup,
-//! model compute, and substrate simulation attributed to each request —
+//! `METRICS` command, and per-request traces — cache lookup, model
+//! compute, and substrate simulation attributed to each request —
 //! retained in a flight recorder and dumped as JSONL via the `TRACE`
 //! command. Build with
 //! [`ServiceConfig::metrics(false)`](service::ServiceConfig::metrics) /
@@ -46,7 +47,6 @@
 //!
 //! let service = Arc::new(
 //!     ServiceConfig::default()
-//!         .workers(2)
 //!         .cache_capacity(64)
 //!         .seed(42)
 //!         .build()

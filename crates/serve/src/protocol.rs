@@ -262,26 +262,23 @@ impl fmt::Display for Command {
     }
 }
 
-/// Which inference tier evaluates an estimate request.
+/// The inference tier an estimate request names.
 ///
-/// `F64` is the default compiled path: requests that carry no `tier=`
-/// argument behave exactly as they did before tiers existed, and
-/// [`Request::to_line`] emits no `tier=` word for them, so default wire
-/// bytes are unchanged. `Fixed` selects the integer fixed-point tier
-/// lowered by `pmca_mlkit::FixedModel`; a server running with the fast
-/// tier disabled quietly serves such requests from the f64 path.
+/// The server answers every estimate on the compiled f64 path, so both
+/// spellings get byte-identical replies; the `tier=` key survives for
+/// wire compatibility with clients that still send it. `F64` is the
+/// default, and [`Request::to_line`] emits no `tier=` word for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
     /// The compiled f64 path (default).
     #[default]
     F64,
-    /// The fixed-point integer fast tier.
+    /// The retired fixed-point tier; answered on the f64 path.
     Fixed,
 }
 
 impl Tier {
-    /// The tier's wire spelling, which doubles as its metrics label
-    /// (`pmca_serve_tier_seconds{tier=...}`).
+    /// The tier's wire spelling.
     pub fn as_str(self) -> &'static str {
         match self {
             Tier::F64 => "f64",
@@ -948,7 +945,7 @@ pub fn ok_estimate_into(estimate: &Estimate, out: &mut String) {
 pub fn ok_stats(stats: &ServiceStats) -> String {
     format!(
         "OK served={} errors={} cache-hits={} cache-misses={} cache-evictions={} \
-         cache-entries={} models={} workers={} streams={} stream-refits={}",
+         cache-entries={} models={} streams={} stream-refits={}",
         stats.served,
         stats.errors,
         stats.cache_hits,
@@ -956,7 +953,6 @@ pub fn ok_stats(stats: &ServiceStats) -> String {
         stats.cache_evictions,
         stats.cache_entries,
         stats.models,
-        stats.workers,
         stats.streams,
         stats.stream_refits
     )
@@ -1088,8 +1084,6 @@ pub struct ShardInfo {
     pub errors: u64,
     /// Run-cache entries held by this shard.
     pub cache_entries: usize,
-    /// Inference worker threads in this shard's engine.
-    pub workers: usize,
 }
 
 /// The `key=value` fields of one shard's `SHARDS` row. An empty
@@ -1102,15 +1096,8 @@ pub fn shard_info_fields(info: &ShardInfo) -> String {
         info.owns.join(",")
     };
     format!(
-        "shard={} owns={} models={} streams={} served={} errors={} cache-entries={} workers={}",
-        info.shard,
-        owns,
-        info.models,
-        info.streams,
-        info.served,
-        info.errors,
-        info.cache_entries,
-        info.workers
+        "shard={} owns={} models={} streams={} served={} errors={} cache-entries={}",
+        info.shard, owns, info.models, info.streams, info.served, info.errors, info.cache_entries
     )
 }
 
@@ -1153,7 +1140,6 @@ pub fn parse_shard_info(line: &str) -> Result<ShardInfo, ProtocolError> {
         served: number(get("served")?, "served", line)?,
         errors: number(get("errors")?, "errors", line)?,
         cache_entries: number(get("cache-entries")?, "cache-entries", line)?,
-        workers: number(get("workers")?, "workers", line)?,
     })
 }
 
@@ -1779,7 +1765,6 @@ mod tests {
             served: 1_234,
             errors: 1,
             cache_entries: 42,
-            workers: 2,
         };
         let row = shard_info_fields(&info);
         assert_eq!(parse_shard_info(&row).unwrap(), info);
@@ -1854,13 +1839,12 @@ mod tests {
             cache_evictions: 0,
             cache_entries: 2,
             models: 3,
-            workers: 4,
             streams: 12,
             stream_refits: 2,
         };
         let reply = ok_stats(&stats);
         let fields = parse_ok_fields(&reply).unwrap();
-        assert_eq!(fields.len(), 10);
+        assert_eq!(fields.len(), 9);
         assert!(fields.contains(&("served", "10")));
         assert!(fields.contains(&("cache-hits", "5")));
         assert!(fields.contains(&("cache-evictions", "0")));

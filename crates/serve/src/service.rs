@@ -4,12 +4,13 @@
 //!
 //! The service owns one simulated [`Machine`] per platform for app-level
 //! collection, a [`ModelStore`] of trained models, an [`InferenceEngine`]
-//! worker pool, and a [`RunCache`] memoising collection runs. Training
+//! that answers estimates on the calling thread, and a [`RunCache`]
+//! memoising collection runs. Training
 //! happens through the paper's online-model path ([`OnlineModel`]), so
 //! every served model is single-run deployable.
 
 use crate::cache::{RunCache, RunKey};
-use crate::engine::{EngineError, Estimate, InferenceEngine};
+use crate::engine::{EngineError, Estimate, InferenceEngine, Row};
 use crate::protocol::{Tier, TraceScope};
 use crate::registry::{self, RegistryError, StoredModel};
 use crate::store::{snapshot_from_dir, FileStore, MemoryStore, ModelStore};
@@ -192,15 +193,6 @@ pub enum BatchRequestRef<'a> {
     },
 }
 
-impl BatchRequestRef<'_> {
-    /// The tier this request asked for.
-    pub fn tier(&self) -> Tier {
-        match self {
-            BatchRequestRef::Counts { tier, .. } | BatchRequestRef::App { tier, .. } => *tier,
-        }
-    }
-}
-
 /// Counters reported by the STATS command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
@@ -218,16 +210,13 @@ pub struct ServiceStats {
     pub cache_entries: usize,
     /// Model versions registered.
     pub models: usize,
-    /// Inference worker threads.
-    pub workers: usize,
     /// Telemetry streams currently open.
     pub streams: usize,
     /// Completed background stream refit/swap cycles.
     pub stream_refits: u64,
 }
 
-/// Configuration for an [`EnergyService`], replacing the old positional
-/// `EnergyService::new(workers, cache_capacity, seed)` constructor.
+/// Configuration for an [`EnergyService`].
 ///
 /// # Examples
 ///
@@ -235,17 +224,15 @@ pub struct ServiceStats {
 /// use pmca_serve::ServiceConfig;
 ///
 /// let service = ServiceConfig::default()
-///     .workers(8)
 ///     .cache_capacity(512)
 ///     .seed(42)
 ///     .metrics(true)
 ///     .build()
 ///     .expect("service");
-/// assert_eq!(service.stats().workers, 8);
+/// assert_eq!(service.stats().models, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    workers: usize,
     cache_capacity: usize,
     seed: u64,
     registry_dir: Option<PathBuf>,
@@ -261,22 +248,18 @@ pub struct ServiceConfig {
     event_loops: usize,
     health: bool,
     history_capacity: usize,
-    fast_tier: bool,
 }
 
 impl Default for ServiceConfig {
-    /// Four workers, a 256-run cache, seed 1, no registry directory,
+    /// A 256-run cache, seed 1, no registry directory,
     /// metrics exported to the process-global registry, tracing on with
     /// a 64-trace flight recorder (no slow threshold, no JSONL sink),
     /// streaming enabled with a heavy refit every 256 labelled windows
     /// and a 5-minute idle TTL, threaded transport (with 4 event loops
-    /// once switched to [`Transport::Evented`]), the model-health plane
-    /// on with a 32-snapshot metrics history, and the fixed-point fast
-    /// tier enabled (requests still default to the f64 tier; `fast_tier`
-    /// only governs whether `tier=fixed` requests are honoured).
+    /// once switched to [`Transport::Evented`]), and the model-health
+    /// plane on with a 32-snapshot metrics history.
     fn default() -> Self {
         ServiceConfig {
-            workers: 4,
             cache_capacity: 256,
             seed: 1,
             registry_dir: None,
@@ -292,18 +275,11 @@ impl Default for ServiceConfig {
             event_loops: 4,
             health: true,
             history_capacity: 32,
-            fast_tier: true,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Inference worker threads (≥ 1; default 4).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Run-cache capacity in entries (≥ 1; default 256).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
@@ -415,15 +391,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Whether `tier=fixed` requests are served by the fixed-point fast
-    /// tier (default `true`). With `false` every request runs the f64
-    /// path regardless of the tier it asked for — an operational kill
-    /// switch, not a protocol change: `tier=fixed` still parses.
-    pub fn fast_tier(mut self, enabled: bool) -> Self {
-        self.fast_tier = enabled;
-        self
-    }
-
     /// Build the service.
     ///
     /// # Errors
@@ -434,7 +401,7 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` or `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero.
     pub fn build(self) -> Result<EnergyService, RegistryError> {
         let metrics_registry = if self.metrics {
             Arc::clone(MetricsRegistry::global())
@@ -453,8 +420,7 @@ impl ServiceConfig {
     /// is set); shards 1.. are in-memory replicas restored from the
     /// primary's [`snapshot`](crate::store::ModelStore::snapshot), so
     /// every shard starts from the same model set and routing decides
-    /// ownership. The configured worker count is split across shards
-    /// (at least one worker each).
+    /// ownership.
     ///
     /// # Errors
     ///
@@ -463,7 +429,7 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` or `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero.
     pub fn build_sharded(self, shards: usize) -> Result<crate::shard::ShardRouter, RegistryError> {
         let shards = shards.max(1);
         if shards == 1 {
@@ -474,14 +440,12 @@ impl ServiceConfig {
         } else {
             Arc::new(MetricsRegistry::disabled())
         };
-        let mut config = self;
-        config.workers = (config.workers / shards).max(1);
         // Replicas never own the registry directory — the primary is the
         // durable copy; replicas restore from its snapshot below.
-        let mut replica_config = config.clone();
+        let mut replica_config = self.clone();
         replica_config.registry_dir = None;
         replica_config.trace_log = None;
-        let primary = Arc::new(config.build_with_registry(Arc::clone(&metrics_registry))?);
+        let primary = Arc::new(self.build_with_registry(Arc::clone(&metrics_registry))?);
         let snapshot = primary.store().snapshot();
         let mut services = vec![primary];
         for _ in 1..shards {
@@ -566,7 +530,7 @@ impl ServiceConfig {
         };
         Ok(EnergyService {
             store,
-            engine: InferenceEngine::with_registry(self.workers, &metrics_registry),
+            engine: InferenceEngine::with_registry(&metrics_registry),
             cache: RunCache::with_registry(self.cache_capacity, &metrics_registry),
             machines: Mutex::new(HashMap::new()),
             seed: self.seed,
@@ -579,7 +543,6 @@ impl ServiceConfig {
             event_loops: self.event_loops,
             health,
             history: HistoryRing::new(self.history_capacity),
-            fast_tier: self.fast_tier,
         })
     }
 }
@@ -656,9 +619,6 @@ pub struct EnergyService {
     /// Windowed metrics time series behind `HISTORY`, demand-sampled on
     /// each `HEALTH`/`HISTORY` request — no background clock ticks.
     history: HistoryRing,
-    /// Whether `tier=fixed` requests run the fixed-point fast tier;
-    /// when `false` every request takes the f64 path.
-    fast_tier: bool,
 }
 
 /// One [`EnergyService::feature_events`] memo entry: the model `Arc`
@@ -830,34 +790,12 @@ impl EnergyService {
         platform: &str,
         counts: &[(String, f64)],
     ) -> Result<Estimate, ServiceError> {
-        self.estimate_tiered(platform, counts, Tier::F64)
-    }
-
-    /// [`estimate`](EnergyService::estimate) on an explicit inference
-    /// tier. [`Tier::Fixed`] runs the integer fixed-point kernel (when
-    /// the fast tier is enabled and the model lowers) with the stored
-    /// error bound folded into the confidence interval; [`Tier::F64`]
-    /// is byte-identical to `estimate`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] when no model matches or the engine
-    /// rejects the request.
-    pub fn estimate_tiered(
-        &self,
-        platform: &str,
-        counts: &[(String, f64)],
-        tier: Tier,
-    ) -> Result<Estimate, ServiceError> {
         let trace = self.tracer.start("estimate", &[("platform", platform)]);
         let result = {
             let _scope = trace::scope(trace.as_ref());
             let run = || -> Result<Estimate, ServiceError> {
                 let (model, ordered) = self.resolve_counts(platform, counts)?;
-                Ok(match self.effective_tier(tier) {
-                    Tier::F64 => self.engine.estimate(&model, ordered)?,
-                    Tier::Fixed => self.engine.estimate_fixed(&model, ordered)?,
-                })
+                Ok(self.engine.estimate(&model, &ordered)?)
             };
             run().inspect_err(|e| self.note_error(e, trace.as_ref()))
         };
@@ -865,23 +803,6 @@ impl EnergyService {
             self.tracer.finish(trace);
         }
         result
-    }
-
-    /// The tier a request actually runs on: what it asked for, unless
-    /// the fast tier is disabled service-wide, which pins everything to
-    /// [`Tier::F64`].
-    fn effective_tier(&self, requested: Tier) -> Tier {
-        if self.fast_tier {
-            requested
-        } else {
-            Tier::F64
-        }
-    }
-
-    /// Whether this service honours `tier=fixed` requests (built with
-    /// [`ServiceConfig::fast_tier`]).
-    pub fn fast_tier_enabled(&self) -> bool {
-        self.fast_tier
     }
 
     /// Resolve a counter-level request to its model and feature-ordered
@@ -964,22 +885,6 @@ impl EnergyService {
     /// Returns [`ServiceError`] when the platform or workload spec is
     /// invalid or no online model is registered for the platform.
     pub fn estimate_app(&self, platform: &str, app_spec: &str) -> Result<Estimate, ServiceError> {
-        self.estimate_app_tiered(platform, app_spec, Tier::F64)
-    }
-
-    /// [`estimate_app`](EnergyService::estimate_app) on an explicit
-    /// inference tier; [`Tier::F64`] is byte-identical to `estimate_app`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] when the platform or workload spec is
-    /// invalid or no online model is registered for the platform.
-    pub fn estimate_app_tiered(
-        &self,
-        platform: &str,
-        app_spec: &str,
-        tier: Tier,
-    ) -> Result<Estimate, ServiceError> {
         let trace = self
             .tracer
             .start("estimate-app", &[("platform", platform), ("app", app_spec)]);
@@ -987,10 +892,7 @@ impl EnergyService {
             let _scope = trace::scope(trace.as_ref());
             let run = || -> Result<Estimate, ServiceError> {
                 let (model, counts) = self.resolve_app(platform, app_spec)?;
-                Ok(match self.effective_tier(tier) {
-                    Tier::F64 => self.engine.estimate(&model, counts)?,
-                    Tier::Fixed => self.engine.estimate_fixed(&model, counts)?,
-                })
+                Ok(self.engine.estimate(&model, &counts)?)
             };
             run().inspect_err(|e| self.note_error(e, trace.as_ref()))
         };
@@ -1036,11 +938,11 @@ impl EnergyService {
         Ok((model, counts.to_vec()))
     }
 
-    /// Answer a pipelined batch in request order. Requests are resolved,
-    /// grouped by the model that will answer them, and submitted to the
-    /// worker pool one group at a time — a batch costs one engine round
-    /// trip per distinct model rather than one per request, which is what
-    /// makes pipelined serving fast on small machines.
+    /// Answer a pipelined batch in request order. Requests are resolved
+    /// one by one, then every resolved row goes to the engine in one
+    /// call, which evaluates them on this thread grouped by the model
+    /// that answers them. A `tier=` the request carried changes nothing:
+    /// every row runs the compiled f64 path.
     pub fn estimate_many(&self, requests: &[BatchRequest]) -> Vec<Result<Estimate, ServiceError>> {
         let refs: Vec<BatchRequestRef<'_>> = requests
             .iter()
@@ -1080,7 +982,7 @@ impl EnergyService {
         // batch interleaves independent requests, so the thread-local
         // current trace would misattribute them. Resolution runs under
         // each request's scope; the engine rows carry their trace
-        // explicitly across the worker queues.
+        // explicitly.
         let traces: Vec<Option<ActiveTrace>> = requests
             .iter()
             .map(|request| match request {
@@ -1092,67 +994,44 @@ impl EnergyService {
                     .start("estimate-app", &[("platform", platform), ("app", app)]),
             })
             .collect();
-        let mut out: Vec<Option<Result<Estimate, ServiceError>>> = vec![None; requests.len()];
-        let mut resolved: Vec<Option<(Arc<StoredModel>, Vec<f64>)>> =
-            Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            let result = {
-                let _scope = trace::scope(traces[i].as_ref());
+        let resolved: Vec<_> = requests
+            .iter()
+            .zip(&traces)
+            .map(|(request, trace)| {
+                let _scope = trace::scope(trace.as_ref());
                 match request {
                     BatchRequestRef::Counts {
                         platform, counts, ..
                     } => self.resolve_counts_ref(platform, counts),
                     BatchRequestRef::App { platform, app, .. } => self.resolve_app(platform, app),
                 }
-            };
-            match result {
-                Ok(pair) => resolved.push(Some(pair)),
-                Err(e) => {
-                    out[i] = Some(Err(e));
-                    resolved.push(None);
-                }
-            }
-        }
-        // Groups are keyed by (model, effective tier): a mixed batch
-        // still costs one engine round trip per distinct model per tier,
-        // and each tier keeps its own kernel.
-        let mut groups: Vec<(Arc<StoredModel>, Tier, Vec<usize>)> = Vec::new();
-        for (i, slot) in resolved.iter().enumerate() {
-            if let Some((model, _)) = slot {
-                let tier = self.effective_tier(requests[i].tier());
-                match groups
-                    .iter_mut()
-                    .find(|(m, t, _)| Arc::ptr_eq(m, model) && *t == tier)
-                {
-                    Some((_, _, indices)) => indices.push(i),
-                    None => groups.push((Arc::clone(model), tier, vec![i])),
-                }
-            }
-        }
-        for (model, tier, indices) in groups {
-            let rows: Vec<(Vec<f64>, Option<ActiveTrace>)> = indices
-                .iter()
-                .map(|&i| {
-                    (
-                        resolved[i].take().expect("resolved above").1,
-                        traces[i].clone(),
-                    )
+            })
+            .collect();
+        let rows: Vec<Row<'_>> = resolved
+            .iter()
+            .zip(&traces)
+            .filter_map(|(resolved, trace)| {
+                let (model, counts) = resolved.as_ref().ok()?;
+                Some(Row {
+                    model,
+                    counts,
+                    trace: trace.as_ref(),
                 })
-                .collect();
-            let answers = match tier {
-                Tier::F64 => self.engine.estimate_batch_traced(&model, rows),
-                Tier::Fixed => self.engine.estimate_batch_fixed_traced(&model, rows),
-            };
-            for (&i, result) in indices.iter().zip(answers) {
-                out[i] = Some(result.map_err(ServiceError::Engine));
-            }
-        }
-        let results: Vec<Result<Estimate, ServiceError>> = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or(Err(ServiceError::Engine(EngineError::Stopped)))
-                    .inspect_err(|e| self.note_error(e, traces[i].as_ref()))
+            })
+            .collect();
+        let mut answers = self.engine.estimate_rows(&rows).into_iter();
+        let results: Vec<Result<Estimate, ServiceError>> = resolved
+            .iter()
+            .zip(&traces)
+            .map(|(resolved, trace)| {
+                match resolved {
+                    Ok(_) => answers
+                        .next()
+                        .expect("one engine answer per resolved request")
+                        .map_err(ServiceError::Engine),
+                    Err(e) => Err(e.clone()),
+                }
+                .inspect_err(|e| self.note_error(e, trace.as_ref()))
             })
             .collect();
         for trace in traces.iter().flatten() {
@@ -1269,7 +1148,6 @@ impl EnergyService {
             cache_evictions: self.cache.evictions(),
             cache_entries: self.cache.len(),
             models,
-            workers: self.engine.workers(),
             streams: self.streams.as_ref().map_or(0, |hub| hub.open_streams()),
             stream_refits: self.streams.as_ref().map_or(0, |hub| hub.refit_swaps()),
         }
@@ -1476,7 +1354,6 @@ mod tests {
 
     fn trained_service() -> EnergyService {
         let service = ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(42)
             .build()
@@ -1513,7 +1390,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_tier_requests_stay_within_the_lowered_bound() {
+    fn tier_fixed_requests_answer_on_the_f64_path() {
         let service = trained_service();
         let stored = service
             .store()
@@ -1524,66 +1401,84 @@ mod tests {
             .iter()
             .map(|n| (n.clone(), 2.5e10))
             .collect();
-        let slow = service.estimate("skylake", &counts).unwrap();
-        let fast = service
-            .estimate_tiered("skylake", &counts, Tier::Fixed)
-            .unwrap();
-        // The bound the engine folded into the interval is exactly the
-        // interval growth, and the answers agree within it.
-        let bound = fast.ci_half_width - slow.ci_half_width;
-        assert!(bound > 0.0, "fixed tier widens the interval");
-        assert!(
-            (fast.joules - slow.joules).abs() <= bound,
-            "|{} - {}| > {bound}",
-            fast.joules,
-            slow.joules
-        );
-        // A mixed batch groups per tier and answers both correctly.
-        let refs: Vec<(String, f64)> = counts.clone();
-        let requests = vec![
-            BatchRequest::Counts {
-                platform: "skylake".to_string(),
-                counts: refs.clone(),
-                tier: Tier::F64,
-            },
-            BatchRequest::Counts {
-                platform: "skylake".to_string(),
-                counts: refs,
-                tier: Tier::Fixed,
-            },
-        ];
+        let direct = service.estimate("skylake", &counts).unwrap();
+        let app = service.estimate_app("skylake", "dgemm:11500").unwrap();
+        // The wire still accepts both tier spellings; each answers
+        // exactly what a request without a tier gets.
+        let requests: Vec<BatchRequest> = [Tier::F64, Tier::Fixed]
+            .into_iter()
+            .flat_map(|tier| {
+                [
+                    BatchRequest::Counts {
+                        platform: "skylake".to_string(),
+                        counts: counts.clone(),
+                        tier,
+                    },
+                    BatchRequest::App {
+                        platform: "skylake".to_string(),
+                        app: "dgemm:11500".to_string(),
+                        tier,
+                    },
+                ]
+            })
+            .collect();
         let results = service.estimate_many(&requests);
-        assert_eq!(results[0].as_ref().unwrap(), &slow);
-        assert_eq!(results[1].as_ref().unwrap(), &fast);
+        for pair in results.chunks(2) {
+            assert_eq!(pair[0].as_ref().unwrap(), &direct);
+            assert_eq!(pair[1].as_ref().unwrap(), &app);
+        }
     }
 
     #[test]
-    fn disabled_fast_tier_pins_every_request_to_f64() {
-        let service = ServiceConfig::default()
-            .workers(2)
-            .cache_capacity(64)
-            .seed(42)
-            .fast_tier(false)
-            .build()
-            .unwrap();
-        service
-            .train_online("skylake", &good_set(), &ladder())
-            .unwrap();
-        assert!(!service.fast_tier_enabled());
-        let stored = service
-            .store()
-            .latest_of_family("skylake", "online")
-            .unwrap();
-        let counts: Vec<(String, f64)> = stored
-            .feature_order
-            .iter()
-            .map(|n| (n.clone(), 2.5e10))
+    fn concurrent_submitters_get_bit_identical_answers() {
+        // Eight threads share one service, so one engine and one
+        // compiled-model cache (including the race to compile it first);
+        // every answer must equal the compiled model's own arithmetic
+        // bit for bit.
+        let service = Arc::new(ServiceConfig::default().build().unwrap());
+        let names: Vec<String> = ["A", "B", "C"].iter().map(|s| s.to_string()).collect();
+        let model = service.register(
+            "skylake",
+            "linear",
+            names.clone(),
+            1.5,
+            40,
+            ModelParams::Linear {
+                coefficients: vec![2.5e-9, 1.25e-9, 0.75e-9],
+                intercept: -0.5,
+            },
+        );
+        let reference = pmca_mlkit::CompiledModel::compile(&model.params).unwrap();
+        let per_thread = 400u32;
+        let handles: Vec<_> = (0..8u32)
+            .map(|t| {
+                let service = Arc::clone(&service);
+                let names = names.clone();
+                let reference = reference.clone();
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        let v = f64::from(t * per_thread + i);
+                        let row = [1.0e9 + 3.7e6 * v, 2.0e8 * v, 5.0e9 - v];
+                        let counts: Vec<(String, f64)> = names.iter().cloned().zip(row).collect();
+                        let expected = reference.predict_one(&row).max(0.0).to_bits();
+                        let single = service.estimate("skylake", &counts).unwrap();
+                        assert_eq!(single.joules.to_bits(), expected, "row {row:?}");
+                        let batch = service.estimate_many(&[BatchRequest::Counts {
+                            platform: "skylake".to_string(),
+                            counts,
+                            tier: Tier::F64,
+                        }]);
+                        let batched = batch[0].as_ref().unwrap();
+                        assert_eq!(batched.joules.to_bits(), expected, "row {row:?}");
+                    }
+                })
+            })
             .collect();
-        let slow = service.estimate("skylake", &counts).unwrap();
-        let pinned = service
-            .estimate_tiered("skylake", &counts, Tier::Fixed)
-            .unwrap();
-        assert_eq!(pinned, slow, "kill switch forces the f64 path");
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        assert_eq!(service.stats().served, 8 * 2 * u64::from(per_thread));
+        assert_eq!(service.stats().errors, 0);
     }
 
     #[test]
@@ -1604,11 +1499,7 @@ mod tests {
 
     #[test]
     fn errors_are_specific() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         assert!(matches!(
             service.estimate("epyc", &[("X".to_string(), 1.0)]),
             Err(ServiceError::UnknownPlatform(_))
@@ -1670,7 +1561,6 @@ mod tests {
         assert_eq!(service.save_registry(&dir).unwrap(), 1);
 
         let revived = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .seed(42)
             .registry_dir(&dir)
@@ -1703,12 +1593,7 @@ mod tests {
             |t: &Trace| -> Vec<String> { t.events.iter().map(|e| e.name.clone()).collect() };
         // First app estimate misses the cache and fills it (one full
         // simulated collection run inside `cache.fill`).
-        for stage in [
-            "cache.lookup",
-            "cache.fill",
-            "engine.queue",
-            "engine.compute",
-        ] {
+        for stage in ["cache.lookup", "cache.fill", "engine.compute"] {
             assert!(
                 names(miss).contains(&stage.to_string()),
                 "{:?}",
@@ -1729,11 +1614,7 @@ mod tests {
 
     #[test]
     fn traced_errors_are_marked_with_their_kind() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         let _ = service.estimate("epyc", &[("X".to_string(), 1.0)]);
         let trace = service.tracer().slowest().expect("error request traced");
         assert!(trace.events.iter().any(|e| e.name == "error"
@@ -1768,7 +1649,6 @@ mod tests {
     #[test]
     fn tracing_off_services_retain_nothing() {
         let service = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .tracing(false)
             .build()
@@ -1782,7 +1662,6 @@ mod tests {
     #[test]
     fn metrics_off_services_render_inert_instruments() {
         let service = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .metrics(false)
             .build()
@@ -1804,11 +1683,7 @@ mod tests {
 
     #[test]
     fn metrics_on_services_count_errors_by_kind() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         assert!(service.metrics_enabled());
         let _ = service.estimate("epyc", &[("X".to_string(), 1.0)]);
         let lines = service.metrics_lines();

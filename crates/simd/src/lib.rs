@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the SLOPE-PMC serving stack.
 //!
-//! Every inference path in the repo — the fixed-point tier's SoA batch
-//! evaluator, the default tier's f64 linear and compiled-tree kernels,
-//! and the stream hub's window estimates — funnels through the three
-//! kernel families here:
+//! Every inference path in the repo — the served f64 linear and
+//! compiled-tree kernels, the stream hub's window estimates, and the
+//! `pmca_mlkit::FixedModel` fixed-point lowering's SoA batch evaluator —
+//! funnels through the three kernel families here:
 //!
 //! * [`mac_i64`] — broadcast multiply-accumulate over one i64 feature
 //!   column (the fixed-point linear kernel's inner loop);
@@ -205,7 +205,7 @@ pub struct TreeNodeF64 {
 
 /// `acc[i] += w · col[i]` over `min(acc.len(), col.len())` elements.
 ///
-/// The scalar path keeps the fixed-point tier's historical saturating
+/// The scalar path keeps the fixed-point lowering's historical saturating
 /// backstop; the SIMD paths wrap. Both are bit-identical under the
 /// invariant the fixed-point lowering enforces (worst-case accumulator
 /// magnitude below `4.0e18`), which is the only regime callers are

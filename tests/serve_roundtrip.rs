@@ -11,15 +11,15 @@
 
 use pmca_core::online::OnlineModel;
 use pmca_cpusim::{Machine, PlatformSpec};
+use pmca_mlkit::export::ModelParams;
 use pmca_powermeter::{HclWattsUp, Methodology};
 use pmca_serve::{Client, EnergyService, Server, ServiceConfig, Trace, TraceScope, Transport};
 use pmca_workloads::parse::app_from_spec;
 use std::sync::Arc;
 use std::thread;
 
-fn service(workers: usize, cache_capacity: usize, transport: Transport) -> EnergyService {
+fn service(cache_capacity: usize, transport: Transport) -> EnergyService {
     ServiceConfig::default()
-        .workers(workers)
         .cache_capacity(cache_capacity)
         .seed(SEED)
         .transport(transport)
@@ -62,7 +62,7 @@ fn reference_model() -> OnlineModel {
 }
 
 fn served_estimates_match_the_direct_model_on(transport: Transport) {
-    let service = Arc::new(service(4, 64, transport));
+    let service = Arc::new(service(64, transport));
     let stored = service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -119,7 +119,6 @@ fn served_estimates_match_the_direct_model_on(transport: Transport) {
     let stats = service.stats();
     assert_eq!(stats.served, 6);
     assert_eq!(stats.errors, 0);
-    assert_eq!(stats.workers, 4);
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn served_estimates_match_the_direct_model_evented() {
 }
 
 fn repeated_app_queries_hit_the_run_cache_on(transport: Transport) {
-    let service = Arc::new(service(2, 64, transport));
+    let service = Arc::new(service(64, transport));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -171,7 +170,7 @@ fn repeated_app_queries_hit_the_run_cache_evented() {
 }
 
 fn training_and_introspection_work_over_the_wire_on(transport: Transport) {
-    let service = Arc::new(service(2, 32, transport));
+    let service = Arc::new(service(32, transport));
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
@@ -202,7 +201,6 @@ fn training_and_introspection_work_over_the_wire_on(transport: Transport) {
             .unwrap_or_else(|| panic!("missing {key} in {stats:?}"))
     };
     assert_eq!(get("models"), "2");
-    assert_eq!(get("workers"), "2");
 
     // SHARDS reports the single-shard topology owning both platforms.
     let shards = client.shards().unwrap();
@@ -224,7 +222,7 @@ fn training_and_introspection_work_over_the_wire_evented() {
 }
 
 fn metrics_over_the_wire_cover_commands_and_caches_on(transport: Transport) {
-    let service = Arc::new(service(2, 32, transport));
+    let service = Arc::new(service(32, transport));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -275,7 +273,6 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
     // below land in the slow ring regardless of machine speed.
     let service = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(SEED)
             .trace_slow_ms(0)
@@ -311,10 +308,9 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
             .unwrap_or_else(|| panic!("no {name} stage in {stages:?}"))
             .1
     };
-    // The full breakdown the ISSUE asks for: queue wait, cache lookup,
-    // compute, and the substrate (simulator runs inside the cache fill).
+    // The full breakdown: cache lookup, compute, and the substrate
+    // (simulator runs inside the cache fill).
     for name in [
-        "engine.queue",
         "engine.compute",
         "cache.lookup",
         "cache.fill",
@@ -347,7 +343,7 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
 /// the test harness could set it.
 #[test]
 fn forced_scalar_kernels_serve_identical_estimates() {
-    let service = Arc::new(service(2, 32, Transport::Threaded));
+    let service = Arc::new(service(32, Transport::Threaded));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -387,4 +383,78 @@ fn traces_over_the_wire_break_requests_into_stages() {
 #[test]
 fn traces_over_the_wire_break_requests_into_stages_evented() {
     traces_over_the_wire_break_requests_into_stages_on(Transport::Evented);
+}
+
+/// The retired fixed-point tier stays accepted on the wire: `tier=f64`
+/// and `tier=fixed` on ESTIMATE and ESTIMATE-APP answer exactly the
+/// bytes a request without a tier gets, and an unknown tier is an `ERR`
+/// that leaves the connection answering.
+fn tier_words_answer_byte_identically_on(transport: Transport) {
+    let service = Arc::new(service(32, transport));
+    service.register(
+        "skylake",
+        "online",
+        good_set(),
+        0.25,
+        20,
+        ModelParams::Linear {
+            coefficients: vec![1.0e-9, 2.0e-9, 3.0e-9, 4.0e-9],
+            intercept: 0.0,
+        },
+    );
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let counts: Vec<String> = GOOD_SET
+        .iter()
+        .enumerate()
+        .map(|(i, n)| format!("{n}={}", 1.0e10 + i as f64 * 2.5e9))
+        .collect();
+    let counts = counts.join(" ");
+    let plain = client
+        .raw_line(&format!("ESTIMATE skylake {counts}"))
+        .unwrap();
+    assert!(plain.starts_with("OK joules="), "{plain}");
+    let app = client.raw_line("ESTIMATE-APP skylake dgemm:11500").unwrap();
+    assert!(app.starts_with("OK joules="), "{app}");
+    for tier in ["f64", "fixed", "FIXED"] {
+        let line = format!("ESTIMATE skylake tier={tier} {counts}");
+        assert_eq!(client.raw_line(&line).unwrap(), plain, "{line}");
+        let line = format!("ESTIMATE skylake {counts} tier={tier}");
+        assert_eq!(client.raw_line(&line).unwrap(), plain, "{line}");
+        let line = format!("ESTIMATE-APP skylake dgemm:11500 tier={tier}");
+        assert_eq!(client.raw_line(&line).unwrap(), app, "{line}");
+    }
+
+    for line in [
+        format!("ESTIMATE skylake tier=bogus {counts}"),
+        "ESTIMATE-APP skylake dgemm:11500 tier=bogus".to_string(),
+    ] {
+        let reply = client.raw_line(&line).unwrap();
+        assert!(reply.starts_with("ERR "), "{line} -> {reply}");
+    }
+    // The connection keeps answering, pipelined mixes included.
+    let replies = client
+        .raw_pipelined(&[
+            format!("ESTIMATE skylake tier=fixed {counts}"),
+            format!("ESTIMATE skylake tier=bogus {counts}"),
+            "ESTIMATE-APP skylake dgemm:11500 tier=fixed".to_string(),
+            format!("ESTIMATE skylake {counts}"),
+        ])
+        .unwrap();
+    assert_eq!(replies[0], plain);
+    assert!(replies[1].starts_with("ERR "), "{replies:?}");
+    assert_eq!(replies[2], app);
+    assert_eq!(replies[3], plain);
+    client.quit().unwrap();
+}
+
+#[test]
+fn tier_words_answer_byte_identically() {
+    tier_words_answer_byte_identically_on(Transport::Threaded);
+}
+
+#[test]
+fn tier_words_answer_byte_identically_evented() {
+    tier_words_answer_byte_identically_on(Transport::Evented);
 }

@@ -14,12 +14,7 @@ fn server(config: ServiceConfig) -> Server {
 }
 
 fn default_server() -> Server {
-    server(
-        ServiceConfig::default()
-            .workers(2)
-            .cache_capacity(16)
-            .seed(9),
-    )
+    server(ServiceConfig::default().cache_capacity(16).seed(9))
 }
 
 #[test]
@@ -134,7 +129,6 @@ fn concurrent_streaming_keeps_the_flight_recorder_coherent() {
     // request traces from many connections at once.
     let server = server(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(16)
             .seed(11)
             .stream_refit_every(8)
